@@ -18,7 +18,12 @@ Conventions shared across the package:
 * a linear map is a square Matrix whose column j holds the coordinates of
   the image of e_j (so applying the map is Matrix.apply);
 * linear maps vectorize row-major, entry (r, c) at index r*n + c;
-* bilinear tensors vectorize with index (k*n + i)*n + j for b[k][i][j].
+* bilinear tensors vectorize with index (k*n + i)*n + j for b[k][i][j];
+* StructureTensor.brackets is the sparse table (i, j) -> ((k, c[k][i][j]), ...)
+  of the nonzero brackets, in increasing k, and sparse_bracket evaluates
+  [x, y] on sparse coordinate dicts {index: coefficient} from it.  Every
+  bracket evaluation and every derivation-style equation system reads the
+  bracket through this table.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .linalg import (
     LinearSystem,
@@ -36,11 +41,10 @@ from .linalg import (
     Vector,
     as_vector,
     frac,
-    vec_is_zero,
-    zero_vector,
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class LeibnizIdentityError(ValueError):
@@ -99,6 +103,18 @@ class StructureTensor:
         return self.labels[i] if self.labels is not None else f"e{i + 1}"
 
     @cached_property
+    def brackets(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """Sparse table (i, j) -> ((k, c[k][i][j]), ...) of the nonzero brackets."""
+        n, c = self.dim, self.c
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                terms = tuple((k, c[k][i][j]) for k in range(n) if c[k][i][j])
+                if terms:
+                    table[i, j] = terms
+        return table
+
+    @cached_property
     def leibniz_violations(self) -> tuple[LeibnizViolation, ...]:
         return tuple(check_left_leibniz(self))
 
@@ -112,7 +128,7 @@ class StructureTensor:
             raise LeibnizIdentityError(
                 f"not a left Leibniz algebra: identity fails at "
                 f"({self.label(v.i)},{self.label(v.j)},{self.label(v.k)}) "
-                f"with defect {list(v.defect)}")
+                f"with defect [{', '.join(str(x) for x in v.defect)}]")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, StructureTensor)
@@ -124,8 +140,7 @@ class StructureTensor:
         return hash((self.dim, self.c, self.labels))
 
     def __repr__(self):
-        nnz = sum(1 for k in range(self.dim) for i in range(self.dim)
-                  for j in range(self.dim) if self.c[k][i][j] != 0)
+        nnz = sum(len(terms) for terms in self.brackets.values())
         return f"StructureTensor(dim={self.dim}, nonzeros={nnz})"
 
 
@@ -232,61 +247,57 @@ def map_index(n: int, r: int, c: int) -> int:
 # core operations
 
 
+def _acc(d: dict[int, Fraction], key: int, val: Fraction) -> None:
+    """d[key] += val, dropping the key when the sum is zero."""
+    w = d.get(key, _ZERO) + val
+    if w:
+        d[key] = w
+    else:
+        d.pop(key, None)
+
+
+def sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The nonzero coordinates of a dense vector, as {index: coefficient}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense(w: Mapping[int, Fraction], n: int) -> Vector:
+    """The length-n coordinate vector of a sparse {index: coefficient} dict."""
+    return tuple(w.get(k, _ZERO) for k in range(n))
+
+
+def sparse_bracket(t: StructureTensor, x: Mapping[int, Fraction],
+                   y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """[x, y] for sparse coordinate dicts, read from the bracket table."""
+    table = t.brackets
+    out: dict[int, Fraction] = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, co in table.get((i, j), ()):
+                _acc(out, k, xi * yj * co)
+    return out
+
+
 def check_left_leibniz(t: StructureTensor) -> list[LeibnizViolation]:
     """All triples where [x,[y,z]] = [y,[x,z]] + [[x,y],z] fails on the basis."""
     n = t.dim
-    c = t.c
-    # sparse view: ad[i] = {m: {t: coeff}} with [e_i, e_m] = sum coeff e_t
-    ad: list[dict[int, list[tuple[int, Fraction]]]] = []
-    for i in range(n):
-        cols: dict[int, list[tuple[int, Fraction]]] = {}
-        for m in range(n):
-            entries = [(tt, c[tt][i][m]) for tt in range(n) if c[tt][i][m] != 0]
-            if entries:
-                cols[m] = entries
-        ad.append(cols)
-
-    def left_mult(i: int, w: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        cols = ad[i]
-        for m, wm in w.items():
-            for tt, co in cols.get(m, ()):
-                out[tt] = out.get(tt, _ZERO) + wm * co
-        return {k: v for k, v in out.items() if v != 0}
+    units = [{i: _ONE} for i in range(n)]
 
     def pair(i: int, j: int) -> dict[int, Fraction]:
-        return {k: c[k][i][j] for k in range(n) if c[k][i][j] != 0}
+        return dict(t.brackets.get((i, j), ()))
 
     violations = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = left_mult(i, pair(j, k))
-                r1 = left_mult(j, pair(i, k))
-                r2 = _right_mult(c, n, pair(i, j), k)
-                defect: dict[int, Fraction] = dict(lhs)
-                for tt, v in r1.items():
-                    defect[tt] = defect.get(tt, _ZERO) - v
-                for tt, v in r2.items():
-                    defect[tt] = defect.get(tt, _ZERO) - v
-                defect = {kk: v for kk, v in defect.items() if v != 0}
+                defect = sparse_bracket(t, units[i], pair(j, k))
+                for tt, v in sparse_bracket(t, units[j], pair(i, k)).items():
+                    _acc(defect, tt, -v)
+                for tt, v in sparse_bracket(t, pair(i, j), units[k]).items():
+                    _acc(defect, tt, -v)
                 if defect:
-                    vec = [_ZERO] * n
-                    for tt, v in defect.items():
-                        vec[tt] = v
-                    violations.append(LeibnizViolation(i, j, k, tuple(vec)))
+                    violations.append(LeibnizViolation(i, j, k, dense(defect, n)))
     return violations
-
-
-def _right_mult(c, n: int, w: dict[int, Fraction], k: int) -> dict[int, Fraction]:
-    """[w, e_k] for a sparse coordinate vector w."""
-    out: dict[int, Fraction] = {}
-    for m, wm in w.items():
-        for tt in range(n):
-            co = c[tt][m][k]
-            if co != 0:
-                out[tt] = out.get(tt, _ZERO) + wm * co
-    return {kk: v for kk, v in out.items() if v != 0}
 
 
 def bracket(t: StructureTensor, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
@@ -295,19 +306,7 @@ def bracket(t: StructureTensor, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec
     n = t.dim
     if len(xv) != n or len(yv) != n:
         raise ValueError("coordinate length differs from algebra dimension")
-    out = []
-    for k in range(n):
-        acc = _ZERO
-        plane = t.c[k]
-        for i in range(n):
-            if xv[i] == 0:
-                continue
-            row = plane[i]
-            for j in range(n):
-                if yv[j] != 0 and row[j] != 0:
-                    acc += xv[i] * yv[j] * row[j]
-        out.append(acc)
-    return tuple(out)
+    return dense(sparse_bracket(t, sparse(xv), sparse(yv)), n)
 
 
 def opposite(t: StructureTensor) -> StructureTensor:
@@ -373,16 +372,12 @@ def is_ideal(t: StructureTensor, s: Subspace) -> bool:
     """Two-sided ideal test: [S, L] and [L, S] stay inside S."""
     if s.ambient_dim != t.dim:
         raise ValueError("subspace ambient dimension differs from the algebra")
-    n = t.dim
     for u in s.basis.entries:
-        for j in range(n):
-            left = tuple(sum((u[i] * t.c[k][i][j] for i in range(n) if u[i] != 0),
-                             _ZERO) for k in range(n))
-            if not s.contains(left):
-                return False
-            right = tuple(sum((u[i] * t.c[k][j][i] for i in range(n) if u[i] != 0),
-                              _ZERO) for k in range(n))
-            if not s.contains(right):
+        x = sparse(u)
+        for j in range(t.dim):
+            e = {j: _ONE}
+            if not (s.contains(dense(sparse_bracket(t, x, e), t.dim))
+                    and s.contains(dense(sparse_bracket(t, e, x), t.dim))):
                 return False
     return True
 

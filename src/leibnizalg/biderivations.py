@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import Optional
 
 from .algebra import (
@@ -38,11 +40,20 @@ from .algebra import (
     leibniz_kernel,
     map_index,
     map_to_vec,
+    sparse,
+    sparse_bracket,
     tensor_index,
     vec_to_bilinear,
     vec_to_map,
 )
-from .derivations import is_complete_def1, is_complete_def2, is_derivation
+from .derivations import (
+    add_image,
+    add_image_bracket,
+    derivation_rows,
+    is_complete_def1,
+    is_complete_def2,
+    is_derivation,
+)
 from .linalg import (
     LinearSystem,
     Matrix,
@@ -51,15 +62,7 @@ from .linalg import (
     unit_vector,
 )
 
-_ZERO = Fraction(0)
-
-
-def _acc(d: dict[int, Fraction], key: int, val: Fraction) -> None:
-    w = d.get(key, _ZERO) + val
-    if w:
-        d[key] = w
-    else:
-        d.pop(key, None)
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,58 +105,38 @@ def is_biderivation(t: StructureTensor, b: BilinearTensor) -> bool:
 
 
 def _left_rows(t: StructureTensor):
-    """B(e_i, [e_j, e_l]) = [B(e_i,e_j), e_l] + [e_j, B(e_i,e_l)]."""
-    n, c = t.dim, t.c
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for k in range(n):
-                    coeffs: dict[int, Fraction] = {}
-                    for m in range(n):
-                        if c[m][j][l]:
-                            _acc(coeffs, tensor_index(n, k, i, m), c[m][j][l])
-                        if c[k][m][l]:
-                            _acc(coeffs, tensor_index(n, m, i, j), -c[k][m][l])
-                        if c[k][j][m]:
-                            _acc(coeffs, tensor_index(n, m, i, l), -c[k][j][m])
-                    if coeffs:
-                        yield coeffs, ("left", i, j, l, k)
+    """B(e_a, [e_j, e_l]) = [B(e_a,e_j), e_l] + [e_j, B(e_a,e_l)]: each B(e_a, -)
+    is a derivation."""
+    n = t.dim
+    for a in range(n):
+        for coeffs, (j, l, k) in derivation_rows(
+                t, lambda r, s: tensor_index(n, r, a, s)):
+            yield coeffs, ("left", a, j, l, k)
 
 
 def _right_rows(t: StructureTensor):
-    """B([e_i, e_j], e_l) = [e_i, B(e_j,e_l)] + [B(e_i,e_l), e_j]."""
-    n, c = t.dim, t.c
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for k in range(n):
-                    coeffs: dict[int, Fraction] = {}
-                    for m in range(n):
-                        if c[m][i][j]:
-                            _acc(coeffs, tensor_index(n, k, m, l), c[m][i][j])
-                        if c[k][i][m]:
-                            _acc(coeffs, tensor_index(n, m, j, l), -c[k][i][m])
-                        if c[k][m][j]:
-                            _acc(coeffs, tensor_index(n, m, i, l), -c[k][m][j])
-                    if coeffs:
-                        yield coeffs, ("right", i, j, l, k)
+    """B([e_i, e_j], e_l) = [B(e_i,e_l), e_j] + [e_i, B(e_j,e_l)]: each B(-, e_l)
+    is a derivation."""
+    n = t.dim
+    for l in range(n):
+        for coeffs, (i, j, k) in derivation_rows(
+                t, lambda r, s: tensor_index(n, r, s, l)):
+            yield coeffs, ("right", i, j, l, k)
 
 
 def _first_slot_minus_rows(t: StructureTensor):
     """B([e_i, e_j], e_l) = [e_i, B(e_j,e_l)] - [e_j, B(e_i,e_l)]."""
-    n, c = t.dim, t.c
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for k in range(n):
-                    coeffs: dict[int, Fraction] = {}
-                    for m in range(n):
-                        if c[m][i][j]:
-                            _acc(coeffs, tensor_index(n, k, m, l), c[m][i][j])
-                        if c[k][i][m]:
-                            _acc(coeffs, tensor_index(n, m, j, l), -c[k][i][m])
-                        if c[k][j][m]:
-                            _acc(coeffs, tensor_index(n, m, i, l), c[k][j][m])
+    n, table = t.dim, t.brackets
+    for l in range(n):
+        def unknown(r, s):
+            return tensor_index(n, r, s, l)
+        for i in range(n):
+            for j in range(n):
+                eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
+                add_image(eqs, unknown, table.get((i, j), ()))
+                add_image_bracket(t, eqs, unknown, j, i, -1, image_left=False)
+                add_image_bracket(t, eqs, unknown, i, j, 1, image_left=False)
+                for k, coeffs in enumerate(eqs):
                     if coeffs:
                         yield coeffs, ("loday", i, j, l, k)
 
@@ -177,28 +160,30 @@ def right_biderivation_space(t: StructureTensor) -> Subspace:
     return _nullspace_of(_right_rows(t), t.dim ** 3)
 
 
-def biderivation_space(t: StructureTensor, cross_check: bool = True) -> Subspace:
+def stacked_biderivation_space(t: StructureTensor) -> Subspace:
+    """Biderivations as the nullspace of the left and right systems stacked.
+
+    Shares no elimination state with the intersection of the two one-sided
+    spaces, so agreement of the two is a cross-check.
+    """
+    t.require_validated()
+    return _nullspace_of(chain(_left_rows(t), _right_rows(t)), t.dim ** 3)
+
+
+def biderivation_space(t: StructureTensor) -> Subspace:
     """Intersection of the left and right spaces.
 
-    With ``cross_check`` the same space is recomputed as the nullspace of
-    the stacked system and the two canonical bases are required to agree
-    verbatim; the two computations share no elimination state.
+    The same space is recomputed by :func:`stacked_biderivation_space` and
+    the two canonical bases are required to agree verbatim.
     """
     t.require_validated()
     inter = subspace_intersection(left_biderivation_space(t),
                                   right_biderivation_space(t))
-    if cross_check:
-        n = t.dim
-        sys = LinearSystem(n ** 3)
-        for coeffs, tag in _left_rows(t):
-            sys.add_equation(coeffs, tag=tag)
-        for coeffs, tag in _right_rows(t):
-            sys.add_equation(coeffs, tag=tag)
-        stacked = sys.nullspace()
-        if stacked != inter:
-            raise RuntimeError(
-                "intersection and stacked computations disagree "
-                f"({inter.dim} vs {stacked.dim} dims)")
+    stacked = stacked_biderivation_space(t)
+    if stacked != inter:
+        raise RuntimeError(
+            "intersection and stacked computations disagree "
+            f"({inter.dim} vs {stacked.dim} dims)")
     return inter
 
 
@@ -210,13 +195,8 @@ def loday_biderivation_space(t: StructureTensor) -> Subspace:
     whenever the bracket is antisymmetric.
     """
     t.require_validated()
-    n = t.dim
-    sys = LinearSystem(n ** 3)
-    for coeffs, tag in _first_slot_minus_rows(t):
-        sys.add_equation(coeffs, tag=tag)
-    for coeffs, tag in _left_rows(t):
-        sys.add_equation(coeffs, tag=tag)
-    return sys.nullspace()
+    return _nullspace_of(chain(_first_slot_minus_rows(t), _left_rows(t)),
+                         t.dim ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +281,12 @@ def map_bracket_tensor(t: StructureTensor, m: Matrix, side: str = "left") -> Bil
     n = t.dim
     if m.rows != n or m.cols != n:
         raise ValueError("map dimension differs from algebra dimension")
-    units = [unit_vector(n, j) for j in range(n)]
     vals: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(n):
-        ma = m.column(a)
+        ma = sparse(m.column(a))
         for b in range(n):
-            w = bracket(t, ma, units[b])
             key = (a, b) if side == "left" else (b, a)
-            vals[key] = {k: w[k] for k in range(n) if w[k]}
+            vals[key] = sparse_bracket(t, ma, {b: _ONE})
     return BilinearTensor.from_values(n, vals)
 
 
@@ -409,44 +387,37 @@ def commuting_map_space(t: StructureTensor) -> Subspace:
     polarizations [g(x),y] + [g(y),x] = 0 and [x,g(y)] + [y,g(x)] = 0.
     """
     t.require_validated()
-    n, c = t.dim, t.c
+    n = t.dim
+    unknown = partial(map_index, n)
     sys = LinearSystem(n * n)
     for i in range(n):
         for j in range(i, n):
+            out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            add_image_bracket(t, out, unknown, i, j, 1, image_left=True)
+            add_image_bracket(t, out, unknown, j, i, 1, image_left=True)
+            inn: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            add_image_bracket(t, inn, unknown, j, i, 1, image_left=False)
+            add_image_bracket(t, inn, unknown, i, j, 1, image_left=False)
             for k in range(n):
-                coeffs: dict[int, Fraction] = {}
-                for r in range(n):
-                    if c[k][r][j]:
-                        _acc(coeffs, map_index(n, r, i), c[k][r][j])
-                    if c[k][r][i]:
-                        _acc(coeffs, map_index(n, r, j), c[k][r][i])
-                if coeffs:
-                    sys.add_equation(coeffs, tag=("out", i, j, k))
-                coeffs = {}
-                for r in range(n):
-                    if c[k][i][r]:
-                        _acc(coeffs, map_index(n, r, j), c[k][i][r])
-                    if c[k][j][r]:
-                        _acc(coeffs, map_index(n, r, i), c[k][j][r])
-                if coeffs:
-                    sys.add_equation(coeffs, tag=("in", i, j, k))
+                if out[k]:
+                    sys.add_equation(out[k], tag=("out", i, j, k))
+                if inn[k]:
+                    sys.add_equation(inn[k], tag=("in", i, j, k))
     return sys.nullspace()
 
 
 def skew_commuting_map_space(t: StructureTensor) -> Subspace:
     """Maps g with [g(x), y] = [g(y), x]."""
     t.require_validated()
-    n, c = t.dim, t.c
+    n = t.dim
+    unknown = partial(map_index, n)
     sys = LinearSystem(n * n)
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(n):
-                coeffs: dict[int, Fraction] = {}
-                for r in range(n):
-                    if c[k][r][j]:
-                        _acc(coeffs, map_index(n, r, i), c[k][r][j])
-                    if c[k][r][i]:
-                        _acc(coeffs, map_index(n, r, j), -c[k][r][i])
+            eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            add_image_bracket(t, eqs, unknown, i, j, 1, image_left=True)
+            add_image_bracket(t, eqs, unknown, j, i, -1, image_left=True)
+            for k, coeffs in enumerate(eqs):
                 if coeffs:
                     sys.add_equation(coeffs, tag=(i, j, k))
     return sys.nullspace()

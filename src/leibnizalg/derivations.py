@@ -25,16 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .algebra import (
     StructureTensor,
+    _acc,
     bracket,
     center,
     leibniz_kernel,
     map_index,
     map_to_vec,
     quotient,
+    sparse,
+    sparse_bracket,
     vec_to_map,
 )
 from .linalg import (
@@ -44,18 +48,48 @@ from .linalg import (
     Vector,
     as_vector,
     unit_vector,
-    vec_add,
 )
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# An equation system over the entries of a linear map D (or of one slice of
+# a bilinear map) is a list eqs with eqs[k] the sparse row {unknown: coeff}
+# of output component k; ``unknown(r, s)`` names the unknown holding entry r
+# of D(e_s).
 
 
-def _acc(d: dict[int, Fraction], key: int, val: Fraction) -> None:
-    w = d.get(key, _ZERO) + val
-    if w:
-        d[key] = w
-    else:
-        d.pop(key, None)
+def add_image(eqs: list[dict[int, Fraction]], unknown, w) -> None:
+    """Add D(w) for w given as (l, w_l) pairs."""
+    for k, row in enumerate(eqs):
+        for l, wl in w:
+            _acc(row, unknown(k, l), wl)
+
+
+def add_image_bracket(t: StructureTensor, eqs: list[dict[int, Fraction]], unknown,
+                      s: int, j: int, sign: int, image_left: bool) -> None:
+    """Add sign * [D e_s, e_j] (image_left) or sign * [e_j, D e_s]."""
+    table = t.brackets
+    for l in range(t.dim):
+        for k, co in table.get((l, j) if image_left else (j, l), ()):
+            _acc(eqs[k], unknown(l, s), sign * co)
+
+
+def derivation_rows(t: StructureTensor, unknown):
+    """Sparse rows of D[e_i,e_j] - [D e_i, e_j] - [e_i, D e_j] = 0.
+
+    One equation per basis pair (i, j) and output component k, tagged
+    (i, j, k), in lexicographic order.
+    """
+    n, table = t.dim, t.brackets
+    for i in range(n):
+        for j in range(n):
+            eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            add_image(eqs, unknown, table.get((i, j), ()))
+            add_image_bracket(t, eqs, unknown, i, j, -1, image_left=True)
+            add_image_bracket(t, eqs, unknown, j, i, -1, image_left=False)
+            for k, coeffs in enumerate(eqs):
+                if coeffs:
+                    yield coeffs, (i, j, k)
 
 
 def is_derivation(t: StructureTensor, m: Matrix) -> bool:
@@ -63,47 +97,29 @@ def is_derivation(t: StructureTensor, m: Matrix) -> bool:
     n = t.dim
     if m.rows != n or m.cols != n:
         raise ValueError("map dimension differs from algebra dimension")
-    cols = [m.column(j) for j in range(n)]
-    units = [unit_vector(n, j) for j in range(n)]
+    table = t.brackets
+    cols = [sparse(m.column(j)) for j in range(n)]
+    units = [{j: _ONE} for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = m.apply(t.bracket_basis(i, j))
-            rhs = vec_add(bracket(t, cols[i], units[j]),
-                          bracket(t, units[i], cols[j]))
+            lhs: dict[int, Fraction] = {}
+            for l, co in table.get((i, j), ()):
+                for r, x in cols[l].items():
+                    _acc(lhs, r, co * x)
+            rhs = sparse_bracket(t, cols[i], units[j])
+            for k, v in sparse_bracket(t, units[i], cols[j]).items():
+                _acc(rhs, k, v)
             if lhs != rhs:
                 return False
     return True
 
 
-def _derivation_rows(t: StructureTensor):
-    """Sparse rows of the derivation system over unknowns d[r][c].
-
-    One equation per basis pair (i, j) and output component k:
-
-        sum_l c^l_ij d[k][l] - sum_l d[l][i] c^k_lj - sum_l d[l][j] c^k_il = 0
-    """
-    n, c = t.dim, t.c
-    for i in range(n):
-        for j in range(n):
-            br = t.bracket_basis(i, j)
-            for k in range(n):
-                coeffs: dict[int, Fraction] = {}
-                for l in range(n):
-                    if br[l]:
-                        _acc(coeffs, map_index(n, k, l), br[l])
-                    if c[k][l][j]:
-                        _acc(coeffs, map_index(n, l, i), -c[k][l][j])
-                    if c[k][i][l]:
-                        _acc(coeffs, map_index(n, l, j), -c[k][i][l])
-                if coeffs:
-                    yield coeffs, (i, j, k)
-
-
 def derivation_space(t: StructureTensor) -> Subspace:
     """All derivations, as a canonical subspace of vectorized n x n maps."""
     t.require_validated()
-    sys = LinearSystem(t.dim ** 2)
-    for coeffs, tag in _derivation_rows(t):
+    n = t.dim
+    sys = LinearSystem(n * n)
+    for coeffs, tag in derivation_rows(t, partial(map_index, n)):
         sys.add_equation(coeffs, tag=tag)
     return sys.nullspace()
 
@@ -207,18 +223,3 @@ def is_complete_def1(t: StructureTensor) -> CompletenessReport:
         derivation_obstruction=der_ob,
         witnesses=tuple(witnesses),
     )
-
-
-def completeness_witness_defect(t: StructureTensor, d: Matrix, x) -> Vector:
-    """Largest-grain sanity check for a def-1 witness: the residual of
-    (D - L_x) column images after reduction by the Leibniz kernel, stacked.
-
-    Zero iff Im(D - L_x) lies inside the Leibniz kernel.
-    """
-    n = t.dim
-    leib = leibniz_kernel(t)
-    diff = d - left_multiplication(t, x)
-    out: list[Fraction] = []
-    for j in range(n):
-        out.extend(leib.reduce(diff.column(j)))
-    return tuple(out)

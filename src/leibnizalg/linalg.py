@@ -39,25 +39,12 @@ def as_vector(xs: Iterable[Scalar]) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(a: Scalar, v: Sequence[Fraction]) -> Vector:
-    a = frac(a)
-    return tuple(a * x for x in v)
 
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:

@@ -43,6 +43,7 @@ from .biderivations import (
     right_biderivation_space,
     skew_commuting_map_space,
     skew_part,
+    stacked_biderivation_space,
     symmetric_part,
     verify_prop_commuting,
 )
@@ -295,7 +296,7 @@ def property_algebras() -> list[tuple[str, StructureTensor]]:
 
 def triple_agreement_holds(t: StructureTensor) -> bool:
     """Left-and-right slice spaces intersect to the stacked-system nullspace."""
-    stacked = biderivation_space(t, cross_check=False)
+    stacked = stacked_biderivation_space(t)
     inter = subspace_intersection(left_biderivation_space(t),
                                   right_biderivation_space(t))
     return stacked == inter

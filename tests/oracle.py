@@ -36,6 +36,25 @@ def _unit(n, i):
     return v
 
 
+def is_derivation(t, d):
+    """Whether D[ei,ej] = [Dei,ej] + [ei,Dej] on every basis pair.
+
+    ``d`` is the dense matrix of D: d[r][s] is entry r of D(e_s).
+    """
+    n = t.dim
+
+    def apply(v):
+        return [sum((d[r][s] * v[s] for s in range(n)), Fraction(0)) for r in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = apply(brk(t, _unit(n, i), _unit(n, j)))
+            a = brk(t, apply(_unit(n, i)), _unit(n, j))
+            b = brk(t, _unit(n, i), apply(_unit(n, j)))
+            if any(lhs[k] != a[k] + b[k] for k in range(n)):
+                return False
+    return True
+
+
 def _nullity(cols):
     if not cols:
         return 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from leibnizalg import catalog
+from leibnizalg import catalog, verification
 from leibnizalg.algebra import (
     BilinearTensor,
     bilinear_to_vec,
@@ -31,6 +31,7 @@ from leibnizalg.biderivations import (
     right_biderivation_space,
     skew_commuting_map_space,
     skew_part,
+    stacked_biderivation_space,
     symmetric_part,
     verify_prop_commuting,
     verify_sigma_theta,
@@ -205,10 +206,19 @@ def test_loday_variant_agrees_on_lie_but_not_in_general():
 def test_triple_agreement_and_cross_check():
     t = catalog.example_affine_two()
     from leibnizalg.linalg import subspace_intersection
-    stacked = biderivation_space(t, cross_check=True)
+    stacked = biderivation_space(t)
     inter = subspace_intersection(left_biderivation_space(t),
                                   right_biderivation_space(t))
     assert stacked == inter
+    assert stacked_biderivation_space(t) == inter
+
+
+def test_triple_agreement_predicate_detects_a_wrong_stacked_space(monkeypatch):
+    t = catalog.example_affine_two()
+    assert verification.triple_agreement_holds(t)
+    monkeypatch.setattr(verification, "stacked_biderivation_space",
+                        lambda t: Subspace.zero(t.dim ** 3))
+    assert not verification.triple_agreement_holds(t)
 
 
 def test_commuting_map_images():

@@ -76,6 +76,15 @@ def test_invariants_refuses_invalid_algebras(tmp_path, capsys):
     assert "not a left Leibniz algebra" in capsys.readouterr().err
 
 
+def test_identity_error_renders_rationals_like_the_cli(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("dim 2\nbracket 1 1 = 2:1\nbracket 2 1 = 2:1\n")
+    assert main(["invariants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "identity fails at (e1,e1,e1) with defect [0, -1]" in err
+    assert "Fraction" not in err
+
+
 def test_derivations_on_heisenberg(heis_file, capsys):
     assert main(["derivations", heis_file]) == 0
     out = capsys.readouterr().out
