@@ -39,8 +39,12 @@ from .linalg import (
     Scalar,
     Subspace,
     Vector,
+    _acc,
     as_vector,
+    dense,
     frac,
+    sparse,
+    unit_vector,
 )
 
 _ZERO = Fraction(0)
@@ -173,23 +177,6 @@ class BilinearTensor:
     def value_basis(self, i: int, j: int) -> Vector:
         return tuple(self.b[k][i][j] for k in range(self.dim))
 
-    def evaluate(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        xv, yv = as_vector(x), as_vector(y)
-        n = self.dim
-        out = []
-        for k in range(n):
-            acc = _ZERO
-            plane = self.b[k]
-            for i in range(n):
-                if xv[i] == 0:
-                    continue
-                row = plane[i]
-                for j in range(n):
-                    if yv[j] != 0 and row[j] != 0:
-                        acc += xv[i] * yv[j] * row[j]
-            out.append(acc)
-        return tuple(out)
-
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.b for row in plane for x in row)
 
@@ -245,25 +232,6 @@ def map_index(n: int, r: int, c: int) -> int:
 
 # ---------------------------------------------------------------------------
 # core operations
-
-
-def _acc(d: dict[int, Fraction], key: int, val: Fraction) -> None:
-    """d[key] += val, dropping the key when the sum is zero."""
-    w = d.get(key, _ZERO) + val
-    if w:
-        d[key] = w
-    else:
-        d.pop(key, None)
-
-
-def sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
-    """The nonzero coordinates of a dense vector, as {index: coefficient}."""
-    return {i: x for i, x in enumerate(v) if x}
-
-
-def dense(w: Mapping[int, Fraction], n: int) -> Vector:
-    """The length-n coordinate vector of a sparse {index: coefficient} dict."""
-    return tuple(w.get(k, _ZERO) for k in range(n))
 
 
 def sparse_bracket(t: StructureTensor, x: Mapping[int, Fraction],
@@ -344,36 +312,35 @@ def leibniz_kernel(t: StructureTensor) -> Subspace:
     return Subspace.from_vectors(gens, n)
 
 
+def _annihilator(t: StructureTensor, two_sided: bool) -> Subspace:
+    """{x : [x, e_j] = 0, and [e_j, x] = 0 when two_sided, for every j}."""
+    eqs: dict[tuple, dict[int, Fraction]] = {}
+    for (i, j), terms in t.brackets.items():
+        for k, co in terms:
+            eqs.setdefault(("left", j, k), {})[i] = co
+            if two_sided:
+                eqs.setdefault(("right", i, k), {})[j] = co
+    sys = LinearSystem(t.dim)
+    for tag, coeffs in eqs.items():
+        sys.add_equation(coeffs, 0, tag=tag)
+    return sys.nullspace()
+
+
 def left_center(t: StructureTensor) -> Subspace:
     """{x : [x, y] = 0 for all y}."""
-    n = t.dim
-    sys = LinearSystem(n)
-    for j in range(n):
-        for k in range(n):
-            coeffs = {i: t.c[k][i][j] for i in range(n) if t.c[k][i][j] != 0}
-            sys.add_equation(coeffs, 0, tag=("left", j, k))
-    return sys.nullspace()
+    return _annihilator(t, two_sided=False)
 
 
 def center(t: StructureTensor) -> Subspace:
     """{x : [x, y] = [y, x] = 0 for all y}."""
-    n = t.dim
-    sys = LinearSystem(n)
-    for j in range(n):
-        for k in range(n):
-            left = {i: t.c[k][i][j] for i in range(n) if t.c[k][i][j] != 0}
-            sys.add_equation(left, 0, tag=("left", j, k))
-            right = {i: t.c[k][j][i] for i in range(n) if t.c[k][j][i] != 0}
-            sys.add_equation(right, 0, tag=("right", j, k))
-    return sys.nullspace()
+    return _annihilator(t, two_sided=True)
 
 
 def is_ideal(t: StructureTensor, s: Subspace) -> bool:
     """Two-sided ideal test: [S, L] and [L, S] stay inside S."""
     if s.ambient_dim != t.dim:
         raise ValueError("subspace ambient dimension differs from the algebra")
-    for u in s.basis.entries:
-        x = sparse(u)
+    for x in s.rows:
         for j in range(t.dim):
             e = {j: _ONE}
             if not (s.contains(dense(sparse_bracket(t, x, e), t.dim))
@@ -414,8 +381,7 @@ def quotient(t: StructureTensor, ideal: Subspace) -> QuotientResult:
     comp = tuple(j for j in range(n) if j not in set(ideal.pivots))
     m = len(comp)
     proj_rows = []
-    reduced_basis = [ideal.reduce(tuple(Fraction(1 if i == j else 0)
-                                        for i in range(n))) for j in range(n)]
+    reduced_basis = [ideal.reduce(unit_vector(n, j)) for j in range(n)]
     for pos in range(m):
         proj_rows.append([reduced_basis[j][comp[pos]] for j in range(n)])
     projection = Matrix(proj_rows, cols=n)

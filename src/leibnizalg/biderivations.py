@@ -40,7 +40,6 @@ from .algebra import (
     leibniz_kernel,
     map_index,
     map_to_vec,
-    sparse,
     sparse_bracket,
     tensor_index,
     vec_to_bilinear,
@@ -58,6 +57,7 @@ from .linalg import (
     LinearSystem,
     Matrix,
     Subspace,
+    sparse,
     subspace_intersection,
     unit_vector,
 )

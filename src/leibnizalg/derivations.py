@@ -30,14 +30,12 @@ from typing import Optional
 
 from .algebra import (
     StructureTensor,
-    _acc,
     bracket,
     center,
     leibniz_kernel,
     map_index,
     map_to_vec,
     quotient,
-    sparse,
     sparse_bracket,
     vec_to_map,
 )
@@ -46,7 +44,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _acc,
     as_vector,
+    sparse,
     unit_vector,
 )
 

@@ -1,9 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Every entry is a fractions.Fraction; no floating point appears anywhere in
-this package. Subspaces of Q^n are stored through their reduced row echelon
-basis, which is unique for a given row space, so subspace equality is plain
-structural equality of the basis matrices.
+this package. Vectors are dense tuples at the API edge and sparse dicts
+{index: coefficient} inside; Matrix is the dense type for linear maps.
 
 The workhorse is an incremental sparse row reducer over primitive integer
 rows (denominators are cleared on input, rows are re-normalized by their gcd
@@ -14,6 +13,11 @@ after each combination). It serves three purposes:
 * solving inhomogeneous systems while remembering, for each pivot, which
   input equation created it -- the raw material for the infeasibility
   certificates used elsewhere in the package.
+
+A Subspace keeps the reducer's canonical rows as they are: sparse, leading
+entry 1, in pivot order. That basis is unique for a given row space, so
+subspace equality is plain equality of the rows; a dense basis is built only
+when basis or basis_vectors() is read.
 """
 
 from __future__ import annotations
@@ -47,8 +51,23 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
+def _acc(d: dict[int, Fraction], key: int, val: Fraction) -> None:
+    """d[key] += val, dropping the key when the sum is zero."""
+    w = d.get(key, _ZERO) + val
+    if w:
+        d[key] = w
+    else:
+        d.pop(key, None)
+
+
+def sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The nonzero coordinates of a dense vector, as {index: coefficient}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense(w: Mapping[int, Fraction], n: int) -> Vector:
+    """The length-n coordinate vector of a sparse {index: coefficient} dict."""
+    return tuple(w.get(k, _ZERO) for k in range(n))
 
 
 class Matrix:
@@ -425,124 +444,65 @@ class LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# dense RREF (textbook version, used for the public rref/solve on matrices;
-# deliberately a separate code path from RowReducer so the two can be played
-# against each other in tests)
-
-
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form, same shape, zero rows at the bottom."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        lead = a[r][c]
-        a[r] = [x / lead for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(a, cols=ncols)
-
-
-def rank(m: Matrix) -> int:
-    rr = rref(m)
-    return sum(1 for row in rr.entries if any(x != 0 for x in row))
-
-
-def nullspace(m: Matrix) -> "Subspace":
-    """Kernel {x : m @ x = 0} as a canonical Subspace of Q^cols."""
-    sys = LinearSystem(m.cols)
-    for i in range(m.rows):
-        sys.add_equation({j: m.entries[i][j] for j in range(m.cols)}, 0, tag=i)
-    return sys.nullspace()
-
-
-def solve(m: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
-    """One solution of m @ x = b (free unknowns zero), or None if infeasible."""
-    bv = as_vector(b)
-    if len(bv) != m.rows:
-        raise ValueError("dimension mismatch")
-    sys = LinearSystem(m.cols)
-    for i in range(m.rows):
-        if not sys.add_equation({j: m.entries[i][j] for j in range(m.cols)}, bv[i], tag=i):
-            return None
-    return sys.particular_solution()
-
-
-# ---------------------------------------------------------------------------
 # subspaces
 
 
 class Subspace:
-    """A subspace of Q^n held by its unique RREF basis (no zero rows)."""
+    """A subspace of Q^n held by its unique RREF basis.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    ``rows`` is that basis exactly as RowReducer.canonical_rows() returns it:
+    sparse dicts {index: Fraction} with leading entry 1 and sorted keys, in
+    increasing pivot order. Equality and hashing compare ``rows``. Treat the
+    dicts as read-only.
+    """
 
-    def __init__(self, basis: Matrix, ambient_dim: int | None = None, _canonical: bool = False):
-        if ambient_dim is None:
-            ambient_dim = basis.cols
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width differs from ambient dimension")
-        if not _canonical:
-            canon = Subspace.from_vectors(basis.entries, ambient_dim)
-            basis = canon.basis
+    __slots__ = ("ambient_dim", "rows", "pivots", "_by_pivot")
+
+    def __init__(self, rows: Sequence[dict[int, Fraction]], ambient_dim: int):
+        """Wrap rows that are already canonical; build through from_vectors."""
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", tuple(
-            next(j for j in range(ambient_dim) if row[j] != 0) for row in basis.entries))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "pivots", tuple(min(row) for row in self.rows))
+        object.__setattr__(self, "_by_pivot", dict(zip(self.pivots, self.rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(Matrix([], cols=ambient_dim), ambient_dim, _canonical=True)
+        return cls([], ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(Matrix.identity(ambient_dim), ambient_dim, _canonical=True)
+        return cls([{i: _ONE} for i in range(ambient_dim)], ambient_dim)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
-        red = RowReducer(ambient_dim)
-        for v in vectors:
+        def checked(v: Sequence[Scalar]) -> dict[int, Fraction]:
             vv = as_vector(v)
             if len(vv) != ambient_dim:
                 raise ValueError("vector length differs from ambient dimension")
-            red.insert(_scale_to_int_row(dict(enumerate(vv)))[0])
-        return cls._from_reducer(red, ambient_dim)
+            return sparse(vv)
+        return cls._from_sparse(map(checked, vectors), ambient_dim)
 
     @classmethod
     def _from_sparse(cls, vectors: Iterable[Mapping[int, Scalar]], ambient_dim: int) -> Subspace:
         red = RowReducer(ambient_dim)
         for v in vectors:
             red.insert(_scale_to_int_row(v)[0])
-        return cls._from_reducer(red, ambient_dim)
-
-    @classmethod
-    def _from_reducer(cls, red: RowReducer, ambient_dim: int) -> Subspace:
-        rows = []
-        for sparse in red.canonical_rows():
-            row = [_ZERO] * ambient_dim
-            for k, v in sparse.items():
-                row[k] = v
-            rows.append(row)
-        return cls(Matrix(rows, cols=ambient_dim), ambient_dim, _canonical=True)
+        return cls(red.canonical_rows(), ambient_dim)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The canonical basis as a dense Matrix, one row per basis vector."""
+        return Matrix(self.basis_vectors(), cols=self.ambient_dim)
 
     def basis_vectors(self) -> list[Vector]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return [dense(row, self.ambient_dim) for row in self.rows]
 
     def reduce(self, v: Sequence[Scalar]) -> Vector:
         """Residual of v after eliminating the basis pivots.
@@ -556,27 +516,38 @@ class Subspace:
         w = list(as_vector(v))
         if len(w) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        for row, p in zip(self.basis.entries, self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             f = w[p]
-            if f != 0:
-                for j in range(p, self.ambient_dim):
-                    if row[j] != 0:
-                        w[j] -= f * row[j]
+            if f:
+                for j, x in row.items():
+                    w[j] -= f * x
         return tuple(w)
 
+    def _residual(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """reduce() on a sparse vector, returning the sparse residual."""
+        w = dict(v)
+        # Basis rows vanish at every other pivot, so each pivot key of v is
+        # eliminated once, by its own coefficient in v, in any order.
+        for p, f in v.items():
+            row = self._by_pivot.get(p)
+            if row is not None:
+                for j, x in row.items():
+                    _acc(w, j, -f * x)
+        return w
+
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(row) for row in other.basis.entries)
+        return not any(self._residual(row) for row in other.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(tuple(row.items()) for row in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -585,46 +556,37 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return Subspace.from_vectors(
-        list(a.basis.entries) + list(b.basis.entries), a.ambient_dim)
+    return Subspace._from_sparse(a.rows + b.rows, a.ambient_dim)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel construction.
+    """Intersection through residuals modulo a, with b the smaller space.
 
-    If U has basis rows A_1..A_p and W has basis rows B_1..B_q, the vectors
-    (y, z) with sum_i y_i A_i + sum_j z_j B_j = 0 parameterize the
-    intersection through w = sum_i y_i A_i.
+    Residuals modulo a are linear, so for the basis rows B_1..B_q of b the
+    combination sum_j z_j B_j lies in a exactly when sum_j z_j r_j = 0, where
+    r_j is the residual of B_j. That is one equation per coordinate in the q
+    unknowns z, and each kernel vector z gives one spanning vector of the
+    intersection.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
-    p, q = a.dim, b.dim
-    if p == 0 or q == 0:
-        return Subspace.zero(n)
-    sys = LinearSystem(p + q)
-    arows, brows = a.basis.entries, b.basis.entries
-    for t in range(n):
-        coeffs: dict[int, Fraction] = {}
-        for i in range(p):
-            if arows[i][t] != 0:
-                coeffs[i] = arows[i][t]
-        for j in range(q):
-            if brows[j][t] != 0:
-                coeffs[p + j] = brows[j][t]
-        sys.add_equation(coeffs, 0, tag=t)
-    combos = sys.nullspace()
+    if b.dim > a.dim:
+        a, b = b, a
+    eqs: dict[int, dict[int, Fraction]] = {}
+    for j, row in enumerate(b.rows):
+        for t, x in a._residual(row).items():
+            eqs.setdefault(t, {})[j] = x
+    if not eqs:
+        return b
+    sys = LinearSystem(b.dim)
+    for t in sorted(eqs):
+        sys.add_equation(eqs[t], 0, tag=t)
     vectors = []
-    for y in combos.basis.entries:
-        w = [_ZERO] * n
-        for i in range(p):
-            if y[i] != 0:
-                for t in range(n):
-                    if arows[i][t] != 0:
-                        w[t] += y[i] * arows[i][t]
+    for z in sys.nullspace().rows:
+        w: dict[int, Fraction] = {}
+        for j, zj in z.items():
+            for t, x in b.rows[j].items():
+                _acc(w, t, zj * x)
         vectors.append(w)
-    return Subspace.from_vectors(vectors, n)
-
-
-def subspace_contains(s: Subspace, v: Sequence[Scalar]) -> bool:
-    return s.contains(v)
+    return Subspace._from_sparse(vectors, n)

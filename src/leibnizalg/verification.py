@@ -26,6 +26,7 @@ from .algebra import (
     center,
     quotient,
     vec_to_bilinear,
+    vec_to_map,
 )
 from .biderivations import (
     bider_from_map,
@@ -59,7 +60,6 @@ from .linalg import (
     Subspace,
     subspace_intersection,
     unit_vector,
-    vec_is_zero,
 )
 
 
@@ -334,7 +334,7 @@ def kernel_ideal_facts_hold(t: StructureTensor) -> bool:
     n = t.dim
     for vec in leib.basis_vectors():
         for j in range(n):
-            if not vec_is_zero(bracket(t, vec, unit_vector(n, j))):
+            if any(bracket(t, vec, unit_vector(n, j))):
                 return False
     return left_center(t).contains_subspace(leib)
 
@@ -348,7 +348,7 @@ def derivations_preserve_kernel(t: StructureTensor) -> bool:
     leib = leibniz_kernel(t)
     n = t.dim
     for vec in derivation_space(t).basis_vectors():
-        m = Matrix([[vec[r * n + c] for c in range(n)] for r in range(n)], cols=n)
+        m = vec_to_map(vec, n)
         for kv in leib.basis_vectors():
             if not leib.contains(m.apply(kv)):
                 return False

@@ -55,6 +55,25 @@ def is_derivation(t, d):
     return True
 
 
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                          for x in row] for row in rows])
+
+
+def rref_rows(vectors):
+    """Nonzero rows of sympy's reduced row echelon form, as Fraction tuples."""
+    if not vectors:
+        return []
+    r, pivots = _sym(vectors).rref()
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in r.row(i))
+            for i in range(len(pivots))]
+
+
+def rank(vectors):
+    """Rank of the span of the given coordinate vectors."""
+    return _sym(vectors).rank() if vectors else 0
+
+
 def _nullity(cols):
     if not cols:
         return 0

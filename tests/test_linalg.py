@@ -2,7 +2,9 @@
 
 Expected values in the frozen cases are hand-derived (they are small enough
 to do on paper); the randomized blocks check structural invariants that hold
-for every input, with fixed seeds so failures replay.
+for every input, with fixed seeds so failures replay. Ranks and reduced
+echelon forms in the randomized blocks come from sympy (tests/oracle.py),
+which shares no code with the package's sparse reducer.
 """
 
 import random
@@ -10,18 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from leibnizalg.linalg import (
     LinearSystem,
     Matrix,
     Subspace,
-    nullspace,
-    rank,
-    rref,
-    solve,
-    subspace_contains,
     subspace_intersection,
     subspace_sum,
-    vec_is_zero,
 )
 
 
@@ -29,40 +26,39 @@ def F(x):
     return Fraction(x)
 
 
-def test_rref_frozen():
-    m = Matrix([[1, 2], [2, 4]])
-    assert rref(m) == Matrix([[1, 2], [0, 0]])
-    # leading entries become 1, elimination above and below
-    m2 = Matrix([[0, 2, 4], [1, 1, 1]])
-    assert rref(m2) == Matrix([[1, 0, -1], [0, 1, 2]])
-    assert rref(Matrix([], cols=3)) == Matrix([], cols=3)
+def _system(m: Matrix, b=None) -> LinearSystem:
+    """The system m @ x = b (b = 0 when omitted), one equation per row."""
+    sys = LinearSystem(m.cols)
+    for i, row in enumerate(m.entries):
+        sys.add_equation(dict(enumerate(row)), 0 if b is None else b[i], tag=i)
+    return sys
 
 
-def test_rref_idempotent_and_rank():
-    m = Matrix([[2, 4, 6], [1, 2, 3], [0, 1, 1]])
-    r = rref(m)
-    assert rref(r) == r
-    assert rank(m) == 2
+def _solve(m: Matrix, b):
+    """One solution of m @ x = b (free unknowns zero), or None if infeasible."""
+    sys = _system(m, b)
+    return sys.particular_solution() if sys.consistent else None
 
 
 def test_nullspace_frozen():
-    ker = nullspace(Matrix([[1, 2]]))
+    ker = _system(Matrix([[1, 2]])).nullspace()
     assert ker.dim == 1
     assert ker == Subspace.from_vectors([(-2, 1)], 2)
     # canonical basis row is normalized to leading one
+    assert ker.rows == ({0: F(1), 1: Fraction(-1, 2)},)
     assert ker.basis == Matrix([[1, Fraction(-1, 2)]])
-    assert nullspace(Matrix.identity(3)).dim == 0
-    assert nullspace(Matrix.zeros(2, 3)) == Subspace.full(3)
+    assert _system(Matrix.identity(3)).nullspace().dim == 0
+    assert _system(Matrix.zeros(2, 3)).nullspace() == Subspace.full(3)
 
 
 def test_solve_frozen():
     # consistent with free column: free unknowns pinned to zero
-    assert solve(Matrix([[1, 2], [2, 4]]), (1, 2)) == (F(1), F(0))
-    assert solve(Matrix([[1, 2], [2, 4]]), (1, 3)) is None
+    assert _solve(Matrix([[1, 2], [2, 4]]), (1, 2)) == (F(1), F(0))
+    assert _solve(Matrix([[1, 2], [2, 4]]), (1, 3)) is None
     m = Matrix([[1, 0], [0, 2]])
-    assert solve(m, (5, 3)) == (F(5), Fraction(3, 2))
+    assert _solve(m, (5, 3)) == (F(5), Fraction(3, 2))
     # solution verifies
-    x = solve(Matrix([[1, 2, 3], [0, 1, 1]]), (6, 2))
+    x = _solve(Matrix([[1, 2, 3], [0, 1, 1]]), (6, 2))
     assert x is not None
     assert Matrix([[1, 2, 3], [0, 1, 1]]).apply(x) == (F(6), F(2))
 
@@ -109,10 +105,12 @@ def test_rank_nullity_random(seed):
     rng = random.Random(1000 + seed)
     rows, cols = rng.randint(1, 6), rng.randint(1, 6)
     m = _random_matrix(rng, rows, cols)
-    ker = nullspace(m)
-    assert rank(m) + ker.dim == cols
+    sys = _system(m)
+    ker = sys.nullspace()
+    assert sys.rank == oracle.rank(m.entries)
+    assert sys.rank + ker.dim == cols
     for v in ker.basis_vectors():
-        assert vec_is_zero(m.apply(v))
+        assert not any(m.apply(v))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -149,11 +147,10 @@ def test_canonicality_random(seed):
         extra.append(tuple(sum(base[p][j] for p in picks) for j in range(n)))
     rng.shuffle(mixed)
     s2 = Subspace.from_vectors(mixed + extra, n)
-    assert s1.basis == s2.basis
-    # and the dense rref route agrees with the sparse engine
-    dense = rref(Matrix(list(mixed + extra), cols=n))
-    nonzero = [row for row in dense.entries if any(x != 0 for x in row)]
-    assert Matrix(nonzero, cols=n) == s1.basis
+    assert s1.rows == s2.rows
+    assert s1 == s2 and hash(s1) == hash(s2)
+    # and sympy's dense rref agrees with the sparse engine
+    assert s1.basis_vectors() == oracle.rref_rows(mixed + extra)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -163,9 +160,10 @@ def test_solve_random_consistency(seed):
     m = _random_matrix(rng, rows, cols)
     xtrue = tuple(F(rng.randint(-3, 3)) for _ in range(cols))
     b = m.apply(xtrue)
-    x = solve(m, b)
-    assert x is not None
-    assert m.apply(x) == b
+    sys = _system(m, b)
+    assert sys.consistent
+    assert sys.rank == oracle.rank(m.entries)
+    assert m.apply(sys.particular_solution()) == b
 
 
 def test_linear_system_contradiction_bookkeeping():
@@ -201,3 +199,63 @@ def test_fraction_scaling_in_system():
     sys2.add_equation({0: Fraction(1, 3)}, 1, tag="a")
     assert not sys2.add_equation({0: Fraction(1, 3)}, 2, tag="b")
     assert sys2.contradiction.defect == 1
+
+
+def _random_space(rng, n, k):
+    density = rng.choice([0.3, 0.7])
+    return Subspace.from_vectors(
+        [_random_matrix(rng, 1, n, density).row(0) for _ in range(k)], n)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_intersection_matches_oracle_random(seed):
+    rng = random.Random(5000 + seed)
+    n = rng.randint(1, 12)
+    u = _random_space(rng, n, rng.randint(0, n))
+    w = _random_space(rng, n, rng.randint(0, n))
+    # a shared part c makes the intersection of the last pair nonzero
+    c = _random_space(rng, n, rng.randint(1, 3))
+    pairs = [(u, w), (w, u), (subspace_sum(u, c), subspace_sum(w, c)), (u, Subspace.zero(n)), (Subspace.zero(n), w),
+             (Subspace.full(n), w), (u, Subspace.full(n)), (u, u),
+             (u, subspace_sum(u, w)), (subspace_sum(u, w), w)]
+    for a, b in pairs:
+        i = subspace_intersection(a, b)
+        va, vb = a.basis_vectors(), b.basis_vectors()
+        # dim(U n W) = dim U + dim W - dim(U + W), with dim(U + W) from sympy
+        assert i.dim == a.dim + b.dim - oracle.rank(va + vb)
+        for v in i.basis_vectors():
+            assert oracle.rank(va + [v]) == a.dim
+            assert oracle.rank(vb + [v]) == b.dim
+        # and the answer is the canonical basis of its span
+        assert i.basis_vectors() == oracle.rref_rows(i.basis_vectors())
+
+
+def test_equal_spaces_hash_equal():
+    rng = random.Random(6000)
+    for n in range(1, 9):
+        s = _random_space(rng, n, rng.randint(1, n))
+        gens = s.basis_vectors()
+        if not gens:
+            continue
+        rng.shuffle(gens)
+        mixed = [tuple(3 * x - y for x, y in zip(gens[0], v)) for v in gens]
+        t = Subspace.from_vectors(mixed + [gens[0]], n)
+        assert s == t and hash(s) == hash(t)
+    full = Subspace.from_vectors([(1, 1, 0), (0, 2, 0), (5, 0, 7)], 3)
+    assert full == Subspace.full(3) and hash(full) == hash(Subspace.full(3))
+    zero = Subspace.from_vectors([(0, 0)], 2)
+    assert zero == Subspace.zero(2) and hash(zero) == hash(Subspace.zero(2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_views_agree_with_rows(seed):
+    rng = random.Random(7000 + seed)
+    n = rng.randint(1, 10)
+    s = _random_space(rng, n, rng.randint(0, n))
+    vectors = s.basis_vectors()
+    assert s.basis.entries == tuple(vectors)
+    assert s.basis.cols == n and s.basis.rows == s.dim == len(s.rows)
+    assert [{k: x for k, x in enumerate(v) if x} for v in vectors] == list(s.rows)
+    for row, p in zip(s.rows, s.pivots):
+        assert min(row) == p and row[p] == 1
+    assert list(s.pivots) == sorted(set(s.pivots))
