@@ -1,12 +1,15 @@
 """Biderivation spaces, bracket factorizations, and commuting maps.
 
 A bilinear map B on a left Leibniz algebra is a *biderivation* when every
-left slice B(x, -) and every right slice B(-, y) is a derivation.  The two
-slice families give independent linear systems, so the module exposes the
-left space, the right space, their intersection (the biderivations
-proper), and the variant system used by some authors in which the
-first-argument rule carries a minus sign (the two variants agree whenever
-the bracket is antisymmetric).
+left slice B(x, -) and every right slice B(-, y) is a derivation.  So the
+left space is Q^n (x) Der and the right space is Der (x) Q^n: both are
+built by placing the canonical basis of the derivation space into every
+slice, with no solve.  The biderivations proper are their intersection,
+checked on every call against the left and right slice systems stacked
+over all n^3 unknowns.  The variant used by some authors, in which the
+first-argument rule carries a minus sign, constrains one right slice at a
+time; its slice space is solved once over n^2 unknowns and placed the same
+way (the two variants agree whenever the bracket is antisymmetric).
 
 The factorization routines answer the question "is B(x, y) = [phi(x), y]
 up to a residual valued in a prescribed subspace S?" as an exact linear
@@ -49,6 +52,7 @@ from .derivations import (
     add_image,
     add_image_bracket,
     derivation_rows,
+    derivation_space,
     is_complete_def1,
     is_complete_def2,
     is_derivation,
@@ -101,7 +105,30 @@ def is_biderivation(t: StructureTensor, b: BilinearTensor) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the four spaces, as nullspaces over unknowns B^k_ij (index (k*n+i)*n+j)
+# the four spaces, as subspaces of bilinear maps B^k_ij (index (k*n+i)*n+j)
+
+
+def _slice_space(maps: Subspace, n: int, side: str) -> Subspace:
+    """Bilinear maps each of whose left (or right) slices lies in ``maps``.
+
+    ``maps`` is a subspace of vectorized n x n maps (entry (r, s) at index
+    r*n+s). Each canonical row is copied into every slice a: entry (r, s)
+    goes to B^r_{a s} for the left slice B(e_a, -) and to B^r_{s a} for the
+    right slice B(-, e_a). Both placements keep the order of keys within a
+    row, and rows placed into different slices have disjoint supports, so
+    the placed rows sorted by pivot are already the canonical basis.
+    """
+    if side == "left":
+        def place(a, k):
+            r, s = divmod(k, n)
+            return (r * n + a) * n + s
+    else:
+        def place(a, k):
+            return k * n + a
+    rows = [{place(a, k): x for k, x in row.items()}
+            for a in range(n) for row in maps.rows]
+    rows.sort(key=min)
+    return Subspace(rows, n ** 3)
 
 
 def _left_rows(t: StructureTensor):
@@ -124,21 +151,23 @@ def _right_rows(t: StructureTensor):
             yield coeffs, ("right", i, j, l, k)
 
 
-def _first_slot_minus_rows(t: StructureTensor):
-    """B([e_i, e_j], e_l) = [e_i, B(e_j,e_l)] - [e_j, B(e_i,e_l)]."""
+def _first_slot_minus_rows(t: StructureTensor, unknown):
+    """M[e_i, e_j] = [e_i, M e_j] - [e_j, M e_i] for one right slice
+    M = B(-, e_l), i.e. B([e_i,e_j], e_l) = [e_i, B(e_j,e_l)] - [e_j, B(e_i,e_l)].
+
+    ``unknown(r, s)`` names entry r of M e_s, as in derivation_rows; one
+    equation per (i, j, k), tagged (i, j, k).
+    """
     n, table = t.dim, t.brackets
-    for l in range(n):
-        def unknown(r, s):
-            return tensor_index(n, r, s, l)
-        for i in range(n):
-            for j in range(n):
-                eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
-                add_image(eqs, unknown, table.get((i, j), ()))
-                add_image_bracket(t, eqs, unknown, j, i, -1, image_left=False)
-                add_image_bracket(t, eqs, unknown, i, j, 1, image_left=False)
-                for k, coeffs in enumerate(eqs):
-                    if coeffs:
-                        yield coeffs, ("loday", i, j, l, k)
+    for i in range(n):
+        for j in range(n):
+            eqs: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            add_image(eqs, unknown, table.get((i, j), ()))
+            add_image_bracket(t, eqs, unknown, j, i, -1, image_left=False)
+            add_image_bracket(t, eqs, unknown, i, j, 1, image_left=False)
+            for k, coeffs in enumerate(eqs):
+                if coeffs:
+                    yield coeffs, (i, j, k)
 
 
 def _nullspace_of(rows, nunknowns: int) -> Subspace:
@@ -149,32 +178,35 @@ def _nullspace_of(rows, nunknowns: int) -> Subspace:
 
 
 def left_biderivation_space(t: StructureTensor) -> Subspace:
-    """Bilinear maps whose left slices are all derivations."""
-    t.require_validated()
-    return _nullspace_of(_left_rows(t), t.dim ** 3)
+    """Bilinear maps whose left slices are all derivations: Q^n (x) Der,
+    placed slice by slice from the derivation basis."""
+    return _slice_space(derivation_space(t), t.dim, "left")
 
 
 def right_biderivation_space(t: StructureTensor) -> Subspace:
-    """Bilinear maps whose right slices are all derivations."""
-    t.require_validated()
-    return _nullspace_of(_right_rows(t), t.dim ** 3)
+    """Bilinear maps whose right slices are all derivations: Der (x) Q^n,
+    placed slice by slice from the derivation basis."""
+    return _slice_space(derivation_space(t), t.dim, "right")
 
 
 def stacked_biderivation_space(t: StructureTensor) -> Subspace:
-    """Biderivations as the nullspace of the left and right systems stacked.
+    """Biderivations as the nullspace of the left and right slice systems
+    stacked over all n^3 unknowns B^k_ij.
 
-    Shares no elimination state with the intersection of the two one-sided
-    spaces, so agreement of the two is a cross-check.
+    The independent reference for :func:`biderivation_space`: it shares no
+    elimination with the route through the derivation space, so agreement
+    of the two is a cross-check.
     """
     t.require_validated()
     return _nullspace_of(chain(_left_rows(t), _right_rows(t)), t.dim ** 3)
 
 
 def biderivation_space(t: StructureTensor) -> Subspace:
-    """Intersection of the left and right spaces.
+    """Intersection of the left and right spaces, both placed from Der.
 
-    The same space is recomputed by :func:`stacked_biderivation_space` and
-    the two canonical bases are required to agree verbatim.
+    The intersection solves over at most n * dim Der unknowns. The same
+    space is recomputed by :func:`stacked_biderivation_space` and the two
+    canonical bases are required to agree verbatim.
     """
     t.require_validated()
     inter = subspace_intersection(left_biderivation_space(t),
@@ -190,31 +222,37 @@ def biderivation_space(t: StructureTensor) -> Subspace:
 def loday_biderivation_space(t: StructureTensor) -> Subspace:
     """The variant with a minus sign in the first-argument rule.
 
-    Stacks the sign-flipped first-argument system with the usual
-    second-argument system.  Coincides with :func:`biderivation_space`
-    whenever the bracket is antisymmetric.
+    Left slices are derivations, as for :func:`left_biderivation_space`;
+    the sign-flipped first-argument rule involves one right slice at a
+    time, so its space of slices is solved once over n^2 unknowns and
+    placed into every right slice. Coincides with
+    :func:`biderivation_space` whenever the bracket is antisymmetric.
     """
     t.require_validated()
-    return _nullspace_of(chain(_first_slot_minus_rows(t), _left_rows(t)),
-                         t.dim ** 3)
+    n = t.dim
+    slices = _nullspace_of(_first_slot_minus_rows(t, partial(map_index, n)), n * n)
+    return subspace_intersection(left_biderivation_space(t),
+                                 _slice_space(slices, n, "right"))
 
 
 # ---------------------------------------------------------------------------
-# symmetric / skew parts (no 1/2 factor; B = (B+ + B-)/2 exactly)
+# symmetric / skew parts (no 1/2 factor; B = (B+ + B-)/2 exactly). Each
+# plane b[k] is paired with its transpose, and Fraction arithmetic is skipped
+# where the transposed entry is zero, as most entries of a basis tensor are.
 
 
 def symmetric_part(b: BilinearTensor) -> BilinearTensor:
     """(x, y) -> B(x, y) + B(y, x)."""
-    n = b.dim
-    return BilinearTensor([[[b.b[k][i][j] + b.b[k][j][i] for j in range(n)]
-                            for i in range(n)] for k in range(n)])
+    return BilinearTensor([[[x + y if y else x for x, y in zip(row, col)]
+                            for row, col in zip(plane, zip(*plane))]
+                           for plane in b.b])
 
 
 def skew_part(b: BilinearTensor) -> BilinearTensor:
     """(x, y) -> B(x, y) - B(y, x)."""
-    n = b.dim
-    return BilinearTensor([[[b.b[k][i][j] - b.b[k][j][i] for j in range(n)]
-                            for i in range(n)] for k in range(n)])
+    return BilinearTensor([[[x - y if y else x for x, y in zip(row, col)]
+                            for row, col in zip(plane, zip(*plane))]
+                           for plane in b.b])
 
 
 def is_symmetric(b: BilinearTensor) -> bool:

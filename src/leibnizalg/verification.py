@@ -295,7 +295,9 @@ def property_algebras() -> list[tuple[str, StructureTensor]]:
 
 
 def triple_agreement_holds(t: StructureTensor) -> bool:
-    """Left-and-right slice spaces intersect to the stacked-system nullspace."""
+    """The intersection of the one-sided spaces, both placed from Der, equals
+    the nullspace of the stacked left and right slice systems over n^3
+    unknowns."""
     stacked = stacked_biderivation_space(t)
     inter = subspace_intersection(left_biderivation_space(t),
                                   right_biderivation_space(t))

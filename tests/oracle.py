@@ -77,8 +77,10 @@ def rank(vectors):
 def _nullity(cols):
     if not cols:
         return 0
-    m = sympy.Matrix([[col[r] for col in cols] for r in range(len(cols[0]))])
-    return len(cols) - m.rank()
+    # equations that vanish on every column do not change the rank
+    m = sympy.Matrix([[col[r] for col in cols] for r in range(len(cols[0]))
+                      if any(col[r] for col in cols)])
+    return len(cols) - m.to_DM().rank() if m.rows else len(cols)
 
 
 def derivation_dim(t):
@@ -112,39 +114,49 @@ def inner_dim(t):
     return m.rank()
 
 
-def biderivation_dim(t):
-    """Nullity of the stacked slice-defect map over elementary bilinear tensors.
+def _elementary_tensor_nullity(t, second_rule):
+    """Nullity of a stacked slice-defect map over elementary bilinear tensors.
 
-    For each elementary tensor B the column records, on all basis triples,
-    the defects of B(x,[y,z]) = [B(x,y),z] + [y,B(x,z)] and
-    B([x,y],z) = [B(x,z),y] + [x,B(y,z)].
+    For each elementary tensor B the column records, on all basis triples
+    (x, y, z), the defect of the left-slice rule
+    B(x,[y,z]) = [B(x,y),z] + [y,B(x,z)], then ``second_rule(B, x, y, z)``,
+    the defect of the rule on the first argument.
     """
     n = t.dim
     units = [_unit(n, i) for i in range(n)]
-    table = [[brk(t, units[i], units[j]) for j in range(n)] for i in range(n)]
+    triples = [(x, y, z) for x in units for y in units for z in units]
     cols = []
     for p in range(n):
         for q in range(n):
             for m in range(n):
                 def bval(x, y):
-                    return [x[p] * y[q] if k == m else Fraction(0) for k in range(n)]
+                    return [x[p] * y[q] if k == m else 0 for k in range(n)]
                 col = []
-                for i in range(n):
-                    for j in range(n):
-                        for l in range(n):
-                            t1 = bval(units[i], table[j][l])
-                            t2 = brk(t, bval(units[i], units[j]), units[l])
-                            t3 = brk(t, units[j], bval(units[i], units[l]))
-                            col.extend(t1[k] - t2[k] - t3[k] for k in range(n))
-                for i in range(n):
-                    for j in range(n):
-                        for l in range(n):
-                            t1 = bval(table[i][j], units[l])
-                            t2 = brk(t, bval(units[i], units[l]), units[j])
-                            t3 = brk(t, units[i], bval(units[j], units[l]))
-                            col.extend(t1[k] - t2[k] - t3[k] for k in range(n))
+                for x, y, z in triples:
+                    col.extend(u - v - w for u, v, w in zip(
+                        bval(x, brk(t, y, z)), brk(t, bval(x, y), z), brk(t, y, bval(x, z))))
+                for x, y, z in triples:
+                    col.extend(second_rule(bval, x, y, z))
                 cols.append(col)
     return _nullity(cols)
+
+
+def biderivation_dim(t):
+    """Biderivations: left slices and right slices are derivations, the second
+    rule being B([x,y],z) = [B(x,z),y] + [x,B(y,z)]."""
+    def right_slice_rule(b, x, y, z):
+        return [u - v - w for u, v, w in zip(
+            b(brk(t, x, y), z), brk(t, b(x, z), y), brk(t, x, b(y, z)))]
+    return _elementary_tensor_nullity(t, right_slice_rule)
+
+
+def loday_dim(t):
+    """The Loday variant: left slices are derivations, and the first argument
+    obeys B([x,y],z) = [x,B(y,z)] - [y,B(x,z)]."""
+    def first_slot_minus_rule(b, x, y, z):
+        return [u - v + w for u, v, w in zip(
+            b(brk(t, x, y), z), brk(t, x, b(y, z)), brk(t, y, b(x, z)))]
+    return _elementary_tensor_nullity(t, first_slot_minus_rule)
 
 
 def commuting_dim(t):

@@ -1,19 +1,27 @@
 """Biderivation spaces, factorization through the bracket, certificates."""
 
+import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 import oracle
-from leibnizalg import catalog, verification
+from leibnizalg import biderivations, catalog, verification
 from leibnizalg.algebra import (
     BilinearTensor,
     bilinear_to_vec,
     leibniz_kernel,
     map_to_vec,
+    tensor_index,
     vec_to_bilinear,
 )
 from leibnizalg.biderivations import (
+    _first_slot_minus_rows,
+    _left_rows,
+    _nullspace_of,
+    _right_rows,
+    _slice_space,
     bider_from_map,
     biderivation_space,
     commuting_map_space,
@@ -115,6 +123,21 @@ def test_symmetric_and_skew_parts():
     assert BilinearTensor(rec) == f
 
 
+def test_symmetric_and_skew_parts_match_the_plain_formulas():
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        b = BilinearTensor([[[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              if rng.random() < 0.2 else 0
+                              for _ in range(n)] for _ in range(n)] for _ in range(n)])
+        plus = [[[b.b[k][i][j] + b.b[k][j][i] for j in range(n)]
+                 for i in range(n)] for k in range(n)]
+        minus = [[[b.b[k][i][j] - b.b[k][j][i] for j in range(n)]
+                  for i in range(n)] for k in range(n)]
+        assert symmetric_part(b) == BilinearTensor(plus)
+        assert skew_part(b) == BilinearTensor(minus)
+
+
 def test_kernel_line_tensor_certificate_pins_the_contradiction():
     t = catalog.example_affine_one()
     f = BilinearTensor.from_values(3, {(2, 2): {2: 1}})
@@ -206,11 +229,96 @@ def test_loday_variant_agrees_on_lie_but_not_in_general():
 def test_triple_agreement_and_cross_check():
     t = catalog.example_affine_two()
     from leibnizalg.linalg import subspace_intersection
-    stacked = biderivation_space(t)
+    space = biderivation_space(t)
     inter = subspace_intersection(left_biderivation_space(t),
                                   right_biderivation_space(t))
-    assert stacked == inter
+    assert space == inter
     assert stacked_biderivation_space(t) == inter
+
+
+def test_biderivation_space_raises_when_the_cross_check_disagrees(monkeypatch):
+    t = catalog.heisenberg()
+    assert biderivation_space(t).dim == 12
+    monkeypatch.setattr(biderivations, "stacked_biderivation_space",
+                        lambda t: Subspace.zero(t.dim ** 3))
+    with pytest.raises(RuntimeError, match="disagree"):
+        biderivation_space(t)
+
+
+def _battery_and_panel():
+    """The battery algebras and the three pinned products of perfbench's
+    wide-nullspace workload (catalog seeds 0-2)."""
+    panel = (("heisenberg", 4), ("sl2", 4), ("r2", 5))
+    return ([t for _, t in verification.property_algebras()]
+            + [catalog.random_hemisemidirect(seed, lie, mdim)
+               for seed, (lie, mdim) in enumerate(panel)])
+
+
+def test_one_sided_spaces_match_the_n3_slice_systems():
+    # the spaces placed from Der against the slice systems over all n^3
+    # unknowns, which share no elimination with derivation_space
+    for t in _battery_and_panel():
+        n = t.dim
+        assert left_biderivation_space(t) == _nullspace_of(_left_rows(t), n ** 3)
+        assert right_biderivation_space(t) == _nullspace_of(_right_rows(t), n ** 3)
+
+
+def _random_map_space(rng, n):
+    vectors = []
+    for _ in range(rng.randint(1, n * n)):
+        vectors.append([rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 3)))
+                        for _ in range(n * n)])
+    return Subspace.from_vectors(vectors, n * n)
+
+
+def test_placed_slices_are_canonical():
+    rng = random.Random(7)
+    cases = [(n, space) for n in (2, 3) for space in (Subspace.zero(n * n),
+                                                       Subspace.full(n * n))]
+    cases += [(n, _random_map_space(rng, n))
+              for n in (rng.randint(1, 4) for _ in range(16))]
+    for n, maps in cases:
+        for side in ("left", "right"):
+            placed = _slice_space(maps, n, side)
+            assert placed.dim == n * maps.dim
+            rows = list(placed.rows)
+            rng.shuffle(rows)
+            canonical = Subspace._from_sparse(rows, n ** 3)
+            # key order too: hashing reads the rows' items in order
+            assert ([list(r.items()) for r in placed.rows]
+                    == [list(r.items()) for r in canonical.rows])
+            assert hash(placed) == hash(canonical)
+            # every slice of every basis tensor lies in the map space
+            for v in placed.basis_vectors():
+                b = vec_to_bilinear(v, n)
+                for a in range(n):
+                    slice_ = [b.b[r][a][s] if side == "left" else b.b[r][s][a]
+                              for r in range(n) for s in range(n)]
+                    assert maps.contains(slice_)
+
+
+def test_loday_dims_match_dense_oracle():
+    for _, t in verification.property_algebras():
+        if t.dim <= 4:
+            assert loday_biderivation_space(t).dim == oracle.loday_dim(t)
+
+
+def _n3_loday_space(t):
+    """The Loday system over all n^3 unknowns: the first-slot-minus rows of
+    every right slice B(-, e_l), stacked with the left-slice rows."""
+    n = t.dim
+    minus = chain.from_iterable(
+        _first_slot_minus_rows(t, lambda r, s, l=l: tensor_index(n, r, s, l))
+        for l in range(n))
+    return _nullspace_of(chain(minus, _left_rows(t)), n ** 3)
+
+
+def test_loday_space_matches_the_n3_system():
+    for t in _battery_and_panel():
+        if t.dim > 4:
+            assert loday_biderivation_space(t) == _n3_loday_space(t)
+    t = catalog.example_solvable(8)
+    assert loday_biderivation_space(t) == _n3_loday_space(t)
 
 
 def test_triple_agreement_predicate_detects_a_wrong_stacked_space(monkeypatch):
