@@ -5,9 +5,9 @@ A left Leibniz algebra is a vector space with a bilinear bracket satisfying
     [x, [y, z]] = [y, [x, z]] + [[x, y], z]
 
 (left multiplications act as derivations). Everything in this module is
-phrased through a StructureTensor c with
+phrased through a StructureTensor with
 
-    [e_i, e_j] = sum_k c[k][i][j] e_k
+    [e_i, e_j] = sum_k c^k_ij e_k
 
 relative to a fixed basis e_0 .. e_{n-1}. Indices are 0-based everywhere in
 the library; the file format used by the CLI is 1-based and converts on the
@@ -15,15 +15,17 @@ boundary.
 
 Conventions shared across the package:
 
+* a tensor is one canonical sparse table (i, j) -> ((k, x^k_ij), ...) of its
+  nonzero entries (keys sorted, terms in increasing k, no zeros), built by
+  _table: StructureTensor.brackets and BilinearTensor.values. Every bracket
+  evaluation and derivation-style equation system reads the bracket table,
+  through sparse_bracket on sparse coordinate dicts {index: coefficient};
+* StructureTensor.c[k][i][j] and BilinearTensor.b[k][i][j] are read-only
+  dense views of the tables, built on first read; the package never reads them;
 * a linear map is a square Matrix whose column j holds the coordinates of
   the image of e_j (so applying the map is Matrix.apply);
 * linear maps vectorize row-major, entry (r, c) at index r*n + c;
-* bilinear tensors vectorize with index (k*n + i)*n + j for b[k][i][j];
-* StructureTensor.brackets is the sparse table (i, j) -> ((k, c[k][i][j]), ...)
-  of the nonzero brackets, in increasing k, and sparse_bracket evaluates
-  [x, y] on sparse coordinate dicts {index: coefficient} from it.  Every
-  bracket evaluation and every derivation-style equation system reads the
-  bracket through this table.
+* bilinear tensors vectorize with index (k*n + i)*n + j for x^k_ij.
 """
 
 from __future__ import annotations
@@ -67,56 +69,61 @@ class LeibnizViolation:
     defect: Vector
 
 
-class StructureTensor:
-    """Structure constants of a bilinear bracket on Q^dim."""
+Table = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 
-    def __init__(self, c: Sequence[Sequence[Sequence[Scalar]]],
+
+def _table(dim: int, entries: Mapping[tuple[int, int], Mapping[int, Scalar]]) -> Table:
+    """The canonical table of {(i, j): {k: coeff}} or {(i, j): ((k, coeff), ...)}:
+    sorted keys, terms in increasing k, no zeros; every index in 0..dim-1."""
+    table = {}
+    for (i, j), terms in sorted(entries.items()):
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"index pair ({i},{j}) out of range 0..{dim - 1}")
+        row = []
+        for k, x in sorted(dict(terms).items()):
+            if not 0 <= k < dim:
+                raise ValueError(f"target index {k} out of range 0..{dim - 1}")
+            x = frac(x)
+            if x:
+                row.append((k, x))
+        if row:
+            table[i, j] = tuple(row)
+    return table
+
+
+def _dense_view(dim: int, table: Table) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The dim x dim x dim tuple t[k][i][j] of a table, zeros as Fraction(0)."""
+    planes = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), terms in table.items():
+        for k, x in terms:
+            planes[k][i][j] = x
+    return tuple(tuple(map(tuple, plane)) for plane in planes)
+
+
+class StructureTensor:
+    """Structure constants of a bilinear bracket on Q^dim, stored as the
+    table ``brackets``: (i, j) -> ((k, c^k_ij), ...) for [e_i, e_j]."""
+
+    def __init__(self, dim: int,
+                 brackets: Mapping[tuple[int, int], Mapping[int, Scalar]],
                  labels: Optional[Sequence[str]] = None):
-        dim = len(c)
-        tensor = tuple(
-            tuple(tuple(frac(x) for x in row) for row in plane) for plane in c)
-        for plane in tensor:
-            if len(plane) != dim or any(len(row) != dim for row in plane):
-                raise ValueError("structure tensor must be dim x dim x dim")
         self.dim = dim
-        self.c = tensor
+        self.brackets = _table(dim, brackets)
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != dim:
             raise ValueError("label count differs from dimension")
 
-    @classmethod
-    def from_brackets(cls, dim: int,
-                      brackets: Mapping[tuple[int, int], Mapping[int, Scalar]],
-                      labels: Optional[Sequence[str]] = None) -> StructureTensor:
-        """Build from a sparse table {(i, j): {k: coeff}} of nonzero brackets."""
-        c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), terms in brackets.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"bracket index ({i},{j}) out of range")
-            for k, coeff in terms.items():
-                if not 0 <= k < dim:
-                    raise ValueError(f"bracket target {k} out of range")
-                c[k][i][j] = frac(coeff)
-        return cls(c, labels)
+    @cached_property
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Dense view c[k][i][j] of the bracket table."""
+        return _dense_view(self.dim, self.brackets)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a coordinate vector."""
-        return tuple(self.c[k][i][j] for k in range(self.dim))
+        return dense(dict(self.brackets.get((i, j), ())), self.dim)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else f"e{i + 1}"
-
-    @cached_property
-    def brackets(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """Sparse table (i, j) -> ((k, c[k][i][j]), ...) of the nonzero brackets."""
-        n, c = self.dim, self.c
-        table = {}
-        for i in range(n):
-            for j in range(n):
-                terms = tuple((k, c[k][i][j]) for k in range(n) if c[k][i][j])
-                if terms:
-                    table[i, j] = terms
-        return table
 
     @cached_property
     def leibniz_violations(self) -> tuple[LeibnizViolation, ...]:
@@ -137,11 +144,11 @@ class StructureTensor:
     def __eq__(self, other) -> bool:
         return (isinstance(other, StructureTensor)
                 and self.dim == other.dim
-                and self.c == other.c
+                and self.brackets == other.brackets
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.dim, self.c, self.labels))
+        return hash((self.dim, tuple(self.brackets.items()), self.labels))
 
     def __repr__(self):
         nnz = sum(len(terms) for terms in self.brackets.values())
@@ -149,43 +156,49 @@ class StructureTensor:
 
 
 class BilinearTensor:
-    """Coordinates of a bilinear map f: L x L -> L, f(e_i,e_j) = sum b[k][i][j] e_k."""
+    """A bilinear map f: L x L -> L, f(e_i,e_j) = sum_k b^k_ij e_k, stored as
+    the table ``values``: (i, j) -> ((k, b^k_ij), ...), like brackets."""
 
     def __init__(self, b: Sequence[Sequence[Sequence[Scalar]]]):
+        """From dense coordinates b[k][i][j]; from_values takes the table."""
         dim = len(b)
-        tensor = tuple(
-            tuple(tuple(frac(x) for x in row) for row in plane) for plane in b)
-        for plane in tensor:
-            if len(plane) != dim or any(len(row) != dim for row in plane):
-                raise ValueError("bilinear tensor must be dim x dim x dim")
+        if any(len(plane) != dim or any(len(row) != dim for row in plane)
+               for plane in b):
+            raise ValueError("bilinear tensor must be dim x dim x dim")
         self.dim = dim
-        self.b = tensor
+        self.values = _table(dim, {(i, j): {k: b[k][i][j] for k in range(dim)}
+                                   for i in range(dim) for j in range(dim)})
 
     @classmethod
     def zero(cls, dim: int) -> BilinearTensor:
-        return cls([[[0] * dim for _ in range(dim)] for _ in range(dim)])
+        return cls.from_values(dim, {})
 
     @classmethod
     def from_values(cls, dim: int,
                     values: Mapping[tuple[int, int], Mapping[int, Scalar]]) -> BilinearTensor:
-        b = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), terms in values.items():
-            for k, coeff in terms.items():
-                b[k][i][j] = frac(coeff)
-        return cls(b)
+        """From a table {(i, j): {k: coeff}} of values f(e_i, e_j)."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.values = _table(dim, values)
+        return out
+
+    @cached_property
+    def b(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Dense view b[k][i][j] of the value table."""
+        return _dense_view(self.dim, self.values)
 
     def value_basis(self, i: int, j: int) -> Vector:
-        return tuple(self.b[k][i][j] for k in range(self.dim))
+        return dense(dict(self.values.get((i, j), ())), self.dim)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for plane in self.b for row in plane for x in row)
+        return not self.values
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BilinearTensor)
-                and self.dim == other.dim and self.b == other.b)
+                and self.dim == other.dim and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.dim, self.b))
+        return hash((self.dim, tuple(self.values.items())))
 
     def __repr__(self):
         return f"BilinearTensor(dim={self.dim})"
@@ -209,17 +222,30 @@ def vec_to_map(v: Sequence[Scalar], n: int) -> Matrix:
     return Matrix([vv[r * n:(r + 1) * n] for r in range(n)], cols=n)
 
 
-def bilinear_to_vec(t: BilinearTensor) -> Vector:
+def bilinear_to_row(t: BilinearTensor) -> dict[int, Fraction]:
+    """The sparse vectorization {(k*n + i)*n + j: b^k_ij} of the nonzero values."""
     n = t.dim
-    return tuple(t.b[k][i][j] for k in range(n) for i in range(n) for j in range(n))
+    return {tensor_index(n, k, i, j): x
+            for (i, j), terms in t.values.items() for k, x in terms}
+
+
+def row_to_bilinear(row: Mapping[int, Scalar], n: int) -> BilinearTensor:
+    """The tensor of a sparse vectorization, such as a Subspace row."""
+    values: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for index, x in row.items():
+        k, ij = divmod(index, n * n)
+        values.setdefault(divmod(ij, n), {})[k] = x
+    return BilinearTensor.from_values(n, values)
+
+
+def bilinear_to_vec(t: BilinearTensor) -> Vector:
+    return dense(bilinear_to_row(t), t.dim ** 3)
 
 
 def vec_to_bilinear(v: Sequence[Scalar], n: int) -> BilinearTensor:
-    vv = as_vector(v)
-    if len(vv) != n ** 3:
+    if len(v) != n ** 3:
         raise ValueError("vector length is not n^3")
-    return BilinearTensor([[[vv[(k * n + i) * n + j] for j in range(n)]
-                            for i in range(n)] for k in range(n)])
+    return row_to_bilinear({index: x for index, x in enumerate(v) if x}, n)
 
 
 def tensor_index(n: int, k: int, i: int, j: int) -> int:
@@ -283,17 +309,16 @@ def opposite(t: StructureTensor) -> StructureTensor:
     Sends right Leibniz tensors to left ones and vice versa; applying it
     twice returns the original tensor.
     """
-    n = t.dim
     return StructureTensor(
-        [[[t.c[k][j][i] for j in range(n)] for i in range(n)] for k in range(n)],
+        t.dim, {(j, i): terms for (i, j), terms in t.brackets.items()},
         labels=t.labels)
 
 
 def is_lie(t: StructureTensor) -> bool:
     """Antisymmetry of the bracket (the identity then reduces to Jacobi)."""
-    n = t.dim
-    return all(t.c[k][i][j] == -t.c[k][j][i]
-               for k in range(n) for i in range(n) for j in range(n))
+    table = t.brackets
+    return all(table.get((j, i), ()) == tuple((k, -x) for k, x in terms)
+               for (i, j), terms in table.items())
 
 
 def leibniz_kernel(t: StructureTensor) -> Subspace:
@@ -387,18 +412,15 @@ def quotient(t: StructureTensor, ideal: Subspace) -> QuotientResult:
     projection = Matrix(proj_rows, cols=n)
     section = Matrix([[1 if comp[pos] == i else 0 for pos in range(m)]
                       for i in range(n)], cols=m)
-    cbar = [[[_ZERO] * m for _ in range(m)] for _ in range(m)]
-    for s1 in range(m):
-        for s2 in range(m):
-            w = t.bracket_basis(comp[s1], comp[s2])
-            pw = projection.apply(w)
-            for u in range(m):
-                cbar[u][s1][s2] = pw[u]
+    where = {j: s for s, j in enumerate(comp)}
+    table = {(where[i], where[j]): {u: sum((row[k] * x for k, x in terms), _ZERO)
+                                for u, row in enumerate(projection.entries)}
+             for (i, j), terms in t.brackets.items() if i in where and j in where}
     labels = None
     if t.labels is not None:
         labels = [t.labels[j] for j in comp]
     return QuotientResult(
-        tensor=StructureTensor(cbar, labels=labels),
+        tensor=StructureTensor(m, table, labels=labels),
         projection=projection,
         section=section,
         ideal=ideal,
@@ -434,10 +456,8 @@ class ModuleAction:
             for j in range(lie.dim):
                 lhs = self.matrices[i] @ self.matrices[j] - self.matrices[j] @ self.matrices[i]
                 rhs = Matrix.zeros(self.module_dim, self.module_dim)
-                for k in range(lie.dim):
-                    co = lie.c[k][i][j]
-                    if co != 0:
-                        rhs = rhs + self.matrices[k].scale(co)
+                for k, co in lie.brackets.get((i, j), ()):
+                    rhs = rhs + self.matrices[k].scale(co)
                 if lhs != rhs:
                     raise ValueError(
                         f"module axiom fails on basis pair ({i},{j})")
@@ -457,18 +477,10 @@ def hemisemidirect(lie: StructureTensor, action: ModuleAction,
     if action.lie != lie:
         raise ValueError("action was built over a different Lie algebra")
     m, d = lie.dim, action.module_dim
-    n = m + d
-    c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                c[k][i][j] = lie.c[k][i][j]
-    for i in range(m):
-        mat = action.matrices[i]
+    table = dict(lie.brackets)
+    for i, mat in enumerate(action.matrices):
         for b in range(d):
-            for a in range(d):
-                if mat.entries[a][b] != 0:
-                    c[m + a][i][m + b] = mat.entries[a][b]
+            table[i, m + b] = {m + a: mat.entries[a][b] for a in range(d)}
     if labels is None and lie.labels is not None:
         labels = list(lie.labels) + [f"v{b + 1}" for b in range(d)]
-    return StructureTensor(c, labels=labels)
+    return StructureTensor(m + d, table, labels=labels)

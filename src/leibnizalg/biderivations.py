@@ -37,15 +37,15 @@ from typing import Optional
 from .algebra import (
     BilinearTensor,
     StructureTensor,
-    bilinear_to_vec,
+    bilinear_to_row,
     bracket,
     left_center,
     leibniz_kernel,
     map_index,
     map_to_vec,
+    row_to_bilinear,
     sparse_bracket,
     tensor_index,
-    vec_to_bilinear,
     vec_to_map,
 )
 from .derivations import (
@@ -61,6 +61,7 @@ from .linalg import (
     LinearSystem,
     Matrix,
     Subspace,
+    _acc,
     sparse,
     subspace_intersection,
     unit_vector,
@@ -75,14 +76,12 @@ _ONE = Fraction(1)
 
 def _left_slice(b: BilinearTensor, i: int) -> Matrix:
     """Matrix of B(e_i, -)."""
-    n = b.dim
-    return Matrix([[b.b[k][i][j] for j in range(n)] for k in range(n)], cols=n)
+    return Matrix.from_columns([b.value_basis(i, s) for s in range(b.dim)], rows=b.dim)
 
 
 def _right_slice(b: BilinearTensor, j: int) -> Matrix:
     """Matrix of B(-, e_j)."""
-    n = b.dim
-    return Matrix([[b.b[k][i][j] for i in range(n)] for k in range(n)], cols=n)
+    return Matrix.from_columns([b.value_basis(s, j) for s in range(b.dim)], rows=b.dim)
 
 
 def is_left_biderivation(t: StructureTensor, b: BilinearTensor) -> bool:
@@ -236,23 +235,40 @@ def loday_biderivation_space(t: StructureTensor) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# symmetric / skew parts (no 1/2 factor; B = (B+ + B-)/2 exactly). Each
-# plane b[k] is paired with its transpose, and Fraction arithmetic is skipped
-# where the transposed entry is zero, as most entries of a basis tensor are.
+# symmetric / skew parts (no 1/2 factor; B = (B+ + B-)/2 exactly), on the
+# value table: the transpose moves the entry at (i, j) to (j, i).
+
+
+def _combine(b: BilinearTensor, entries, sign: int) -> BilinearTensor:
+    """B + sign * (the tensor with the table entries ``entries``)."""
+    out = {key: dict(terms) for key, terms in b.values.items()}
+    for key, terms in entries:
+        row = out.setdefault(key, {})
+        for k, x in terms:
+            _acc(row, k, sign * x)
+    return BilinearTensor.from_values(b.dim, out)
+
+
+def _transposed(b: BilinearTensor):
+    return (((j, i), terms) for (i, j), terms in b.values.items())
 
 
 def symmetric_part(b: BilinearTensor) -> BilinearTensor:
     """(x, y) -> B(x, y) + B(y, x)."""
-    return BilinearTensor([[[x + y if y else x for x, y in zip(row, col)]
-                            for row, col in zip(plane, zip(*plane))]
-                           for plane in b.b])
+    return _combine(b, _transposed(b), 1)
 
 
 def skew_part(b: BilinearTensor) -> BilinearTensor:
     """(x, y) -> B(x, y) - B(y, x)."""
-    return BilinearTensor([[[x - y if y else x for x, y in zip(row, col)]
-                            for row, col in zip(plane, zip(*plane))]
-                           for plane in b.b])
+    return _combine(b, _transposed(b), -1)
+
+
+def symmetric_skew_spans(space: Subspace, n: int) -> tuple[Subspace, Subspace]:
+    """The spans of the symmetric parts and of the skew parts of a subspace of
+    vectorized bilinear maps on Q^n, taken row by row on the sparse rows."""
+    tensors = [row_to_bilinear(row, n) for row in space.rows]
+    return tuple(Subspace._from_sparse([bilinear_to_row(part(b)) for b in tensors], n ** 3)
+                 for part in (symmetric_part, skew_part))
 
 
 def is_symmetric(b: BilinearTensor) -> bool:
@@ -380,13 +396,10 @@ def _factor(t: StructureTensor, b: BilinearTensor, sub: Subspace, side: str) -> 
                         certificate=_certificate(sys, n, fail_col))
     phi = vec_to_map(sys.particular_solution(), n)
     approx = map_bracket_tensor(t, phi, side=side)
-    residual = BilinearTensor(
-        [[[b.b[k][i][j] - approx.b[k][i][j] for j in range(n)]
-          for i in range(n)] for k in range(n)])
+    residual = _combine(b, approx.values.items(), -1)
     checks = {
         "residual_in_subspace": all(
-            sub.contains(residual.value_basis(i, j))
-            for i in range(n) for j in range(n)),
+            sub.contains(residual.value_basis(i, j)) for i, j in residual.values),
     }
     if sub == leibniz_kernel(t):
         if side == "left":
@@ -618,18 +631,13 @@ def converse_def2_sym_skew(t: StructureTensor) -> ConverseReport:
     comm = commuting_map_space(t)
     skew_comm = skew_commuting_map_space(t)
 
-    sym_space = Subspace.from_vectors(
-        [bilinear_to_vec(symmetric_part(vec_to_bilinear(v, n)))
-         for v in space.basis_vectors()], n ** 3)
-    skew_space = Subspace.from_vectors(
-        [bilinear_to_vec(skew_part(vec_to_bilinear(v, n)))
-         for v in space.basis_vectors()], n ** 3)
+    sym_space, skew_space = symmetric_skew_spans(space, n)
 
     entries: list[ConverseEntry] = []
     for part, part_space, target in (("symmetric", sym_space, skew_comm),
                                      ("skew", skew_space, comm)):
-        for v in part_space.basis_vectors():
-            tensor = vec_to_bilinear(v, n)
+        for row in part_space.rows:
+            tensor = row_to_bilinear(row, n)
             res = factor_left_modulo(t, tensor, zero)
             if not res.feasible:
                 entries.append(ConverseEntry(part, tensor, None, False, False, False))

@@ -26,7 +26,7 @@ def sl2() -> StructureTensor:
 
     Basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h, antisymmetric.
     """
-    return StructureTensor.from_brackets(3, {
+    return StructureTensor(3, {
         (0, 1): {1: 2},
         (1, 0): {1: -2},
         (0, 2): {2: -2},
@@ -38,7 +38,7 @@ def sl2() -> StructureTensor:
 
 def heisenberg() -> StructureTensor:
     """Three-dimensional Heisenberg Lie algebra: [e1,e2] = e3 central."""
-    return StructureTensor.from_brackets(3, {
+    return StructureTensor(3, {
         (0, 1): {2: 1},
         (1, 0): {2: -1},
     }, labels=("e1", "e2", "e3"))
@@ -48,12 +48,12 @@ def abelian(n: int) -> StructureTensor:
     """Zero bracket on Q^n."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return StructureTensor.from_brackets(n, {})
+    return StructureTensor(n, {})
 
 
 def _aff1() -> StructureTensor:
     """Affine line algebra: [x,y] = y."""
-    return StructureTensor.from_brackets(2, {
+    return StructureTensor(2, {
         (0, 1): {1: 1},
         (1, 0): {1: -1},
     }, labels=("x", "y"))
@@ -109,7 +109,7 @@ def example_solvable(n: int = 5) -> StructureTensor:
         row = table.setdefault((i - 1, x), {})
         row[i - 1] = i - 1
     labels = tuple(f"e{i}" for i in range(1, n + 1)) + ("x", "y")
-    right = StructureTensor.from_brackets(dim, table, labels=labels)
+    right = StructureTensor(dim, table, labels=labels)
     return opposite(right)
 
 
@@ -121,9 +121,9 @@ LIE_CHOICES = ("abelian1", "abelian2", "r2", "sl2", "heisenberg")
 
 def _lie_by_name(name: str) -> StructureTensor:
     if name == "abelian1":
-        return StructureTensor.from_brackets(1, {}, labels=("x",))
+        return StructureTensor(1, {}, labels=("x",))
     if name == "abelian2":
-        return StructureTensor.from_brackets(2, {}, labels=("x", "y"))
+        return StructureTensor(2, {}, labels=("x", "y"))
     if name == "r2":
         return _aff1()
     if name == "sl2":

@@ -18,13 +18,11 @@ from typing import Optional, Sequence
 from . import catalog, verification
 from .algebra import (
     StructureTensor,
-    bilinear_to_vec,
     center,
     is_lie,
     left_center,
     leibniz_kernel,
     quotient,
-    vec_to_bilinear,
     vec_to_map,
 )
 from .biderivations import (
@@ -34,8 +32,7 @@ from .biderivations import (
     left_biderivation_space,
     loday_biderivation_space,
     right_biderivation_space,
-    skew_part,
-    symmetric_part,
+    symmetric_skew_spans,
 )
 from .derivations import (
     derivation_space,
@@ -180,20 +177,14 @@ def _cmd_biderivations(args) -> tuple[dict, bool]:
     t = _load_algebra(args.file)
     t.require_validated()
     space = biderivation_space(t)
-    n = t.dim
-    sym_vecs = []
-    skew_vecs = []
-    for v in space.basis_vectors():
-        b = vec_to_bilinear(v, n)
-        sym_vecs.append(bilinear_to_vec(symmetric_part(b)))
-        skew_vecs.append(bilinear_to_vec(skew_part(b)))
+    sym, skew = symmetric_skew_spans(space, t.dim)
     facts = {
         "left_dim": left_biderivation_space(t).dim,
         "right_dim": right_biderivation_space(t).dim,
         "biderivation_dim": space.dim,
         "loday_dim": loday_biderivation_space(t).dim,
-        "symmetric_dim": Subspace.from_vectors(sym_vecs, n ** 3).dim,
-        "skew_dim": Subspace.from_vectors(skew_vecs, n ** 3).dim,
+        "symmetric_dim": sym.dim,
+        "skew_dim": skew.dim,
     }
     return facts, False
 
@@ -277,15 +268,8 @@ def _factor_side_facts(res) -> dict:
     if res.phi is not None:
         facts["map"] = _matrix(res.phi)
     if res.residual is not None:
-        entries = {}
-        n = res.residual.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if res.residual.b[k][i][j]:
-                        entries[f"{i + 1},{j + 1}"] = entries.get(f"{i + 1},{j + 1}", [])
-                        entries[f"{i + 1},{j + 1}"].append(f"{k + 1}:{res.residual.b[k][i][j]}")
-        facts["residual"] = entries
+        facts["residual"] = {f"{i + 1},{j + 1}": [f"{k + 1}:{x}" for k, x in terms]
+                             for (i, j), terms in res.residual.values.items()}
     if res.certificate is not None:
         facts["certificate"] = _certificate_facts(res.certificate)
     return facts

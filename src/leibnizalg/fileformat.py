@@ -124,7 +124,7 @@ def _parse_entries(text: str, keyword: str):
 def parse_algebra(text: str) -> StructureTensor:
     """Parse an algebra file into a left-convention structure tensor."""
     dim, labels, orientation, entries = _parse_entries(text, "bracket")
-    tensor = StructureTensor.from_brackets(dim, entries, labels=labels)
+    tensor = StructureTensor(dim, entries, labels=labels)
     if orientation == "right":
         tensor = opposite(tensor)
     return tensor
@@ -135,13 +135,7 @@ def serialize_algebra(t: StructureTensor) -> str:
     lines = [f"dim {t.dim}"]
     if t.labels is not None:
         lines.append("labels " + " ".join(t.labels))
-    for i in range(t.dim):
-        for j in range(t.dim):
-            terms = [(k, t.c[k][i][j]) for k in range(t.dim) if t.c[k][i][j]]
-            if terms:
-                rendered = " ".join(f"{k + 1}:{coeff}" for k, coeff in terms)
-                lines.append(f"bracket {i + 1} {j + 1} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return _render(lines, "bracket", t.brackets)
 
 
 def parse_bilinear(text: str) -> BilinearTensor:
@@ -153,11 +147,12 @@ def parse_bilinear(text: str) -> BilinearTensor:
 
 
 def serialize_bilinear(b: BilinearTensor) -> str:
-    lines = [f"dim {b.dim}"]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            terms = [(k, b.b[k][i][j]) for k in range(b.dim) if b.b[k][i][j]]
-            if terms:
-                rendered = " ".join(f"{k + 1}:{coeff}" for k, coeff in terms)
-                lines.append(f"value {i + 1} {j + 1} = {rendered}")
+    return _render([f"dim {b.dim}"], "value", b.values)
+
+
+def _render(lines: list[str], keyword: str, table) -> str:
+    """Append one ``keyword`` line per entry of a sparse table, in table order."""
+    for (i, j), terms in table.items():
+        rendered = " ".join(f"{k + 1}:{coeff}" for k, coeff in terms)
+        lines.append(f"{keyword} {i + 1} {j + 1} = {rendered}")
     return "\n".join(lines) + "\n"

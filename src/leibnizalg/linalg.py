@@ -47,10 +47,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def _acc(d: dict[int, Fraction], key: int, val: Fraction) -> None:
     """d[key] += val, dropping the key when the sum is zero."""
     w = d.get(key, _ZERO) + val
@@ -161,9 +157,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
@@ -384,12 +377,6 @@ class LinearSystem:
         piv = self._red.insert_reduced(reduced)
         if piv is not None:
             self._tags[piv] = tag
-        return True
-
-    def add_equations(self, eqs: Iterable[tuple[Mapping[int, Scalar], Scalar, object]]) -> bool:
-        for coeffs, rhs, tag in eqs:
-            if not self.add_equation(coeffs, rhs, tag):
-                return False
         return True
 
     @property

@@ -256,7 +256,7 @@ def lie_control_checks() -> list[CheckItem]:
         "sl2: derivations are exactly the inner ones, dimension 3",
         der.dim == 3 and inner.dim == 3 and der == inner))
     space = biderivation_space(t)
-    brk = BilinearTensor(t.c)
+    brk = BilinearTensor.from_values(t.dim, t.brackets)
     items.append(_item(
         "sl2: biderivations are the multiples of the bracket",
         space.dim == 1 and space.contains(bilinear_to_vec(brk))))
@@ -370,7 +370,7 @@ def factorization_nonuniqueness_ok(t: StructureTensor) -> bool:
     the left center preserves the factorization, and the computed solution
     differs from the identity solution by a map into the left center."""
     n = t.dim
-    brk = BilinearTensor(t.c)
+    brk = BilinearTensor.from_values(t.dim, t.brackets)
     res = factor_left_modulo(t, brk, Subspace.zero(n))
     if not res.feasible or res.phi is None:
         return False

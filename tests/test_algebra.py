@@ -1,14 +1,21 @@
 """Structure tensors: identity checking, invariant subspaces, constructions."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import leibnizalg
 from leibnizalg.algebra import (
     BilinearTensor,
     LeibnizIdentityError,
     ModuleAction,
     StructureTensor,
+    bilinear_to_row,
     bilinear_to_vec,
     bracket,
     center,
@@ -21,6 +28,7 @@ from leibnizalg.algebra import (
     map_to_vec,
     opposite,
     quotient,
+    row_to_bilinear,
     vec_to_bilinear,
     vec_to_map,
 )
@@ -37,18 +45,26 @@ def test_tensor_construction_and_bracket():
     assert t.label(2) == "e3"
 
 
-def test_from_brackets_rejects_bad_indices():
+@pytest.mark.parametrize("entries", [
+    {(0, 3): {0: 1}}, {(3, 0): {0: 1}}, {(0, 1): {3: 1}},
+    {(-1, 0): {0: 1}}, {(0, -1): {0: 1}}, {(0, 1): {-1: 1}},
+])
+def test_tables_reject_out_of_range_indices(entries):
+    # a negative index must not wrap around to the end of a dense view
+    with pytest.raises(ValueError, match="out of range"):
+        StructureTensor(3, entries)
+    with pytest.raises(ValueError, match="out of range"):
+        BilinearTensor.from_values(3, entries)
+
+
+def test_labels_must_match_the_dimension():
     with pytest.raises(ValueError):
-        StructureTensor.from_brackets(2, {(0, 2): {0: 1}})
-    with pytest.raises(ValueError):
-        StructureTensor.from_brackets(2, {(0, 1): {5: 1}})
-    with pytest.raises(ValueError):
-        StructureTensor([[[0]]], labels=("a", "b"))
+        StructureTensor(1, {}, labels=("a", "b"))
 
 
 def test_left_leibniz_identity_detects_violations():
     # [e1,e1] = e2 with [e1,e2] = 0 breaks [x,[x,x]] = [x,[x,x]] + [[x,x],x]
-    bad = StructureTensor.from_brackets(2, {(0, 0): {1: 1}, (1, 0): {1: 1}})
+    bad = StructureTensor(2, {(0, 0): {1: 1}, (1, 0): {1: 1}})
     violations = check_left_leibniz(bad)
     assert violations
     v = violations[0]
@@ -148,6 +164,95 @@ def test_vectorization_round_trips():
     assert vec_to_bilinear(bilinear_to_vec(b), 4) == b
     m = Matrix([[1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4], [5, 0, 0, 0]], cols=4)
     assert vec_to_map(map_to_vec(m), 4) == m
+
+
+def _random_entries(rng, n):
+    """A sparse {(i, j): {k: coeff}} with zero coefficients and empty entries."""
+    return {(i, j): {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for k in range(n) if rng.random() < 0.4}
+            for i in range(n) for j in range(n) if rng.random() < 0.3}
+
+
+def _tables(n, entries):
+    return [StructureTensor(n, entries).brackets,
+            BilinearTensor.from_values(n, entries).values]
+
+
+def test_tables_are_canonical_whatever_the_insertion_order():
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        entries = _random_entries(rng, n)
+        items = list(entries.items())
+        rng.shuffle(items)
+        shuffled = {key: dict(reversed(list(terms.items()))) for key, terms in items}
+        for build in (StructureTensor, BilinearTensor.from_values):
+            a, b = build(n, entries), build(n, shuffled)
+            assert a == b and hash(a) == hash(b)
+        expected = {key: tuple((k, x) for k, x in sorted(terms.items()) if x)
+                    for key, terms in entries.items() if any(terms.values())}
+        for table in _tables(n, shuffled):
+            assert list(table) == sorted(table)
+            assert table == expected
+
+
+def test_zero_coefficients_are_dropped():
+    entries = {(0, 1): {0: 0, 1: "0", 2: Fraction(0)}, (1, 1): {2: "3/4", 0: "0/5"},
+               (2, 2): {}}
+    for table in _tables(3, entries):
+        assert table == {(1, 1): ((2, Fraction(3, 4)),)}
+    assert StructureTensor(3, entries) == StructureTensor(3, {(1, 1): {2: Fraction(3, 4)}})
+    assert BilinearTensor.from_values(3, {(0, 0): {1: "0"}}) == BilinearTensor.zero(3)
+    assert BilinearTensor([[["0"]]]).is_zero()
+
+
+def test_dense_views_and_vectorizations_round_trip():
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        entries = _random_entries(rng, n)
+        t = StructureTensor(n, entries)
+        b = BilinearTensor.from_values(n, entries)
+        for view in (t.c, b.b):
+            assert isinstance(view, tuple) and len(view) == n
+            for k, plane in enumerate(view):
+                assert isinstance(plane, tuple) and len(plane) == n
+                for i, row in enumerate(plane):
+                    assert isinstance(row, tuple) and len(row) == n
+                    for j, x in enumerate(row):
+                        # Fraction(0), never int 0: renderings that tell the
+                        # two apart must see the tensor as before
+                        assert type(x) is Fraction
+                        assert x == entries.get((i, j), {}).get(k, 0)
+        assert BilinearTensor(b.b) == b
+        assert vec_to_bilinear(bilinear_to_vec(b), n) == b
+        assert row_to_bilinear(bilinear_to_row(b), n) == b
+
+
+def test_a_huge_sparse_tensor_allocates_nothing_dense():
+    # Under a 1 GB address-space limit, any dim^2 or dim^3 structure for
+    # dim 10^6 fails with MemoryError (or never finishes).
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from leibnizalg import opposite, parse_algebra, parse_bilinear, serialize_algebra, serialize_bilinear
+        text = "dim 1000000\\nbracket 1 999999 = 1000000:-2/3\\n"
+        t = parse_algebra(text)
+        assert serialize_algebra(t) == text
+        assert parse_algebra(serialize_algebra(t)) == t
+        assert opposite(t) != t and opposite(opposite(t)) == t
+        assert hash(opposite(opposite(t))) == hash(t)
+        values = text.replace("bracket", "value")
+        assert serialize_bilinear(parse_bilinear(values)) == values
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leibnizalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_bilinear_tensor_evaluate():

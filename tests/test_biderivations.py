@@ -41,6 +41,7 @@ from leibnizalg.biderivations import (
     skew_part,
     stacked_biderivation_space,
     symmetric_part,
+    symmetric_skew_spans,
     verify_prop_commuting,
     verify_sigma_theta,
 )
@@ -136,6 +137,23 @@ def test_symmetric_and_skew_parts_match_the_plain_formulas():
                   for i in range(n)] for k in range(n)]
         assert symmetric_part(b) == BilinearTensor(plus)
         assert skew_part(b) == BilinearTensor(minus)
+
+
+def test_symmetric_skew_spans_match_the_plain_formulas():
+    algebras = [catalog.sl2(), catalog.abelian(3), catalog.example_affine_two(),
+                catalog.example_solvable(5)]
+    algebras += [catalog.random_hemisemidirect(seed, lie, 2)
+                 for seed, lie in enumerate(("heisenberg", "sl2", "r2"))]
+    for t in algebras:
+        n = t.dim
+        space = biderivation_space(t)
+        dense = [vec_to_bilinear(v, n).b for v in space.basis_vectors()]
+        spans = tuple(Subspace.from_vectors(
+            [[b[k][i][j] + sign * b[k][j][i]
+              for k in range(n) for i in range(n) for j in range(n)] for b in dense],
+            n ** 3) for sign in (1, -1))
+        assert symmetric_skew_spans(space, n) == spans
+
 
 
 def test_kernel_line_tensor_certificate_pins_the_contradiction():

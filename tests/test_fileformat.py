@@ -22,7 +22,7 @@ def test_round_trip_all_catalog_algebras():
 
 
 def test_round_trip_preserves_fractions():
-    t = StructureTensor.from_brackets(
+    t = StructureTensor(
         2, {(0, 1): {0: Fraction(2, 3), 1: Fraction(-5, 7)}})
     text = serialize_algebra(t)
     assert "2/3" in text and "-5/7" in text
