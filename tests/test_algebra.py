@@ -57,7 +57,12 @@ def test_tables_reject_out_of_range_indices(entries):
         BilinearTensor.from_values(3, entries)
 
 
-def test_labels_must_match_the_dimension():
+def test_from_brackets_rejects_bad_indices():
+    # the sparse bracket table given to the constructor is checked on entry
+    with pytest.raises(ValueError):
+        StructureTensor(2, {(0, 2): {0: 1}})
+    with pytest.raises(ValueError):
+        StructureTensor(2, {(0, 1): {5: 1}})
     with pytest.raises(ValueError):
         StructureTensor(1, {}, labels=("a", "b"))
 
