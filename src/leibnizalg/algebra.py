@@ -36,12 +36,12 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .linalg import (
-    LinearSystem,
     Matrix,
     Scalar,
     Subspace,
     Vector,
     _acc,
+    _nullspace_of,
     as_vector,
     dense,
     frac,
@@ -345,10 +345,7 @@ def _annihilator(t: StructureTensor, two_sided: bool) -> Subspace:
             eqs.setdefault(("left", j, k), {})[i] = co
             if two_sided:
                 eqs.setdefault(("right", i, k), {})[j] = co
-    sys = LinearSystem(t.dim)
-    for tag, coeffs in eqs.items():
-        sys.add_equation(coeffs, 0, tag=tag)
-    return sys.nullspace()
+    return _nullspace_of(((coeffs, tag) for tag, coeffs in eqs.items()), t.dim)
 
 
 def left_center(t: StructureTensor) -> Subspace:

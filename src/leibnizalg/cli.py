@@ -79,20 +79,6 @@ def _subspace(s: Subspace) -> dict:
     return {"dim": s.dim, "basis": [_vec(v) for v in s.basis_vectors()]}
 
 
-def _print_vec(v, labels) -> str:
-    terms = []
-    for coeff, name in zip(v, labels):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            terms.append(name)
-        elif coeff == -1:
-            terms.append(f"-{name}")
-        else:
-            terms.append(f"{coeff} {name}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (facts dict, failed flag)
 
@@ -365,12 +351,7 @@ def _cmd_verify_paper(args) -> tuple[dict, bool]:
 
 
 def _render_verify_paper(facts) -> str:
-    lines = []
-    for item in facts["items"]:
-        mark = "PASS" if item["passed"] else "FAIL"
-        tail = f"  ({item['detail']})" if item["detail"] else ""
-        lines.append(f"{mark}  {item['name']}{tail}")
-    return "\n".join(lines)
+    return "\n".join(verification.CheckItem(**item).render() for item in facts["items"])
 
 
 _HANDLERS = {

@@ -45,6 +45,7 @@ from .linalg import (
     Subspace,
     Vector,
     _acc,
+    _nullspace_of,
     as_vector,
     sparse,
     unit_vector,
@@ -118,10 +119,7 @@ def derivation_space(t: StructureTensor) -> Subspace:
     """All derivations, as a canonical subspace of vectorized n x n maps."""
     t.require_validated()
     n = t.dim
-    sys = LinearSystem(n * n)
-    for coeffs, tag in derivation_rows(t, partial(map_index, n)):
-        sys.add_equation(coeffs, tag=tag)
-    return sys.nullspace()
+    return _nullspace_of(derivation_rows(t, partial(map_index, n)), n * n)
 
 
 def left_multiplication(t: StructureTensor, x) -> Matrix:

@@ -148,15 +148,9 @@ class Matrix:
         return Matrix([[a - b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
 
-    def __neg__(self) -> Matrix:
-        return Matrix([[-a for a in row] for row in self.entries], cols=self.cols)
-
     def scale(self, a: Scalar) -> Matrix:
         a = frac(a)
         return Matrix([[a * x for x in row] for row in self.entries], cols=self.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
@@ -430,6 +424,15 @@ class LinearSystem:
         return Subspace._from_sparse(special, self.nunknowns)
 
 
+def _nullspace_of(rows: Iterable[tuple[Mapping[int, Scalar], object]],
+                  nunknowns: int) -> "Subspace":
+    """Nullspace of the homogeneous equations given as (coeffs, tag) pairs."""
+    sys = LinearSystem(nunknowns)
+    for coeffs, tag in rows:
+        sys.add_equation(coeffs, tag=tag)
+    return sys.nullspace()
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -525,8 +528,12 @@ class Subspace:
     def contains(self, v: Sequence[Scalar]) -> bool:
         return not any(self.reduce(v))
 
+    def contains_row(self, row: Mapping[int, Fraction]) -> bool:
+        """Membership of a sparse vector {index: coefficient}."""
+        return not self._residual(row)
+
     def contains_subspace(self, other: Subspace) -> bool:
-        return not any(self._residual(row) for row in other.rows)
+        return all(self.contains_row(row) for row in other.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -566,11 +573,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
             eqs.setdefault(t, {})[j] = x
     if not eqs:
         return b
-    sys = LinearSystem(b.dim)
-    for t in sorted(eqs):
-        sys.add_equation(eqs[t], 0, tag=t)
     vectors = []
-    for z in sys.nullspace().rows:
+    for z in _nullspace_of(((eqs[t], t) for t in sorted(eqs)), b.dim).rows:
         w: dict[int, Fraction] = {}
         for j, zj in z.items():
             for t, x in b.rows[j].items():

@@ -1,7 +1,15 @@
-"""End-to-end command-line behavior: exit codes, renderings, JSON parity."""
+"""End-to-end command-line behavior: exit codes, renderings, JSON parity.
 
+golden/cli_outputs.json pins the exact stdout of ``verify-paper`` and of the
+per-algebra commands on every fixture. After an intended output change,
+rewrite it with ``PYTHONPATH=src python tests/test_cli.py``.
+"""
+
+import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +18,29 @@ from leibnizalg.cli import main
 from leibnizalg.fileformat import parse_algebra, serialize_algebra
 
 NOT_LEIBNIZ = "dim 2\nbracket 1 1 = 2:1\nbracket 2 2 = 1:1\n"
+GOLDEN_PATH = Path(__file__).parent / "golden" / "cli_outputs.json"
+FIXTURE_COMMANDS = ("validate", "invariants", "derivations", "biderivations",
+                    "completeness")
+
+
+def _fixture_outputs(directory: Path) -> dict[str, str]:
+    """Stdout of every fixture command, text and --json, on every fixture,
+    keyed "[--json ]command fixture-name"."""
+    outputs = {}
+    for fx in catalog.load_fixtures():
+        path = directory / f"{fx.name}.alg"
+        path.write_text(serialize_algebra(fx.build()))
+        for command in FIXTURE_COMMANDS:
+            for flags in ([], ["--json"]):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert main([*flags, command, str(path)]) == 0
+                outputs[" ".join([*flags, command, fx.name])] = buf.getvalue()
+    return outputs
+
+
+def _golden() -> dict[str, str]:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -220,6 +251,16 @@ def test_verify_paper_exits_nonzero_while_two_items_fail(capsys):
     assert len(failing) == 3
     assert failing[-1].startswith("FAIL  all verification items pass")
     assert all("solvable" in line for line in failing[:-1])
+    assert out == _golden()["verify-paper"]
+
+
+def test_fixture_commands_match_the_golden_outputs(tmp_path):
+    # Canonical bases are unique, so every line is pinned byte for byte.
+    golden = _golden()
+    outputs = _fixture_outputs(tmp_path)
+    assert set(outputs) == set(golden) - {"verify-paper"}
+    for key, out in outputs.items():
+        assert out == golden[key], key
 
 
 def test_verify_paper_json_mirrors_the_text_items(capsys):
@@ -234,3 +275,12 @@ def test_verify_paper_json_mirrors_the_text_items(capsys):
         "solvable: NOT complete under the inner-derivation definition",
         "all verification items pass",
     ]
+
+
+if __name__ == "__main__":
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        main(["verify-paper"])
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {"verify-paper": stdout.getvalue(), **_fixture_outputs(Path(tmp))}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
